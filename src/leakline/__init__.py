@@ -39,7 +39,6 @@ from .model import (
     PipelineSpec,
     SeriesConfig,
     SeriesPrecisionWarning,
-    TransientSample,
     Variant,
     decay_rate,
     inlet_pressure,

@@ -11,8 +11,10 @@ theta in (0, 1) form an open admissible band around p = 1; ratios outside
 the band indicate a technological regime change rather than a rupture.
 
 That closed form is the series' late-time limit and is biased at the first
-fixation instant, so estimate_position localises by the root of the model's
-full series ratio instead; the verdict still comes from the band rule.
+fixation instant, so estimate_from_ratio localises by the root of the model's
+full series ratio instead; the verdict still comes from the band rule.  The
+batch API and the stream monitor share estimate_from_ratio and the streaming
+EmpiricalFixation rule.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import enum
 import math
 from bisect import bisect_left
+from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -43,8 +46,9 @@ PI_SQ = math.pi**2
 DEFAULT_EPS_MEAS = 100.0
 
 # The series ratio's range is read this close (as a fraction of the length)
-# to the inlet, since the leak must lie strictly inside the line; its root is
-# sought to this tolerance in theta and in log p.
+# to the inlet, since the leak must lie strictly inside the line; an Accident
+# is placed no nearer to either end.  The root is sought to this tolerance in
+# theta and in log p.
 _THETA_EDGE = 1e-6
 _ROOT_TOL = 1e-12
 _ROOT_MAX_ITER = 100
@@ -59,6 +63,7 @@ class Verdict(str, enum.Enum):
 class UndefinedCause(str, enum.Enum):
     BELOW_FLOOR = "below_floor"          # a deviation smaller than eps_meas
     NEGATIVE_DEVIATION = "pressure_rise"  # an end pressure above its baseline
+    NON_FINITE = "non_finite"            # a NaN or infinite deviation
 
 
 @dataclass(frozen=True)
@@ -90,7 +95,9 @@ class ThetaEstimate:
     """Localisation outcome at the fixation instant.
 
     theta is the root on (0, 1) of the model's series ratio = observed p, or
-    the nearer end (0 or 1) when p lies beyond the series' range.  theta_raw
+    the nearer end (0 or 1) when p lies beyond the series' range; for an
+    Accident it stays 1e-6 of the length inside that end, since a leak lies
+    strictly inside the line and valves must bracket it.  theta_raw
     equals theta whenever the root exists; for Technological verdicts, and
     when p lies beyond the series' range, it keeps the closed-form value of
     theta_from_ratio, unclamped, because out-of-range values carry meaning
@@ -120,8 +127,10 @@ class PressureTrajectory:
 
     def __post_init__(self):
         p1, p2 = self.baseline
-        if not p1 > p2 > 0:
+        if not (p1 > p2 > 0 and math.isfinite(p1)):
             raise ValueError("baseline must satisfy P1 > P2 > 0")
+        if not all(math.isfinite(v) for s in self.samples for v in s):
+            raise ValueError("times and pressures must be finite")
         times = [s[0] for s in self.samples]
         if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
             raise ValueError("sample times must be strictly increasing")
@@ -174,6 +183,10 @@ def simulate_trajectory(spec: PipelineSpec, scenario: LeakScenario,
 def ratio_from_deviations(dev_inlet: float, dev_outlet: float, t: float,
                           eps_meas: float) -> RatioPoint:
     """Build the drop ratio from raw deviations, applying the floor rules."""
+    if not (math.isfinite(dev_inlet) and math.isfinite(dev_outlet)):
+        return RatioPoint(t=t, p=float("nan"), defined=False,
+                          cause=UndefinedCause.NON_FINITE,
+                          dev_inlet=dev_inlet, dev_outlet=dev_outlet)
     if dev_inlet < 0 or dev_outlet < 0:
         return RatioPoint(t=t, p=float("nan"), defined=False,
                           cause=UndefinedCause.NEGATIVE_DEVIATION,
@@ -244,26 +257,22 @@ def first_band_time(spec: PipelineSpec, resolution: float = 1e-3) -> float:
     return hi
 
 
-def _judge(spec: PipelineSpec, rp: RatioPoint, t: float) -> tuple[Verdict, ThetaValue | None]:
+def _judge(spec: PipelineSpec, rp: RatioPoint) -> tuple[Verdict, ThetaValue | None]:
+    # theta in (0, 1) is the admissible-band test wherever the band exists,
+    # and the only test before it opens
     if not rp.defined:
         if rp.cause is UndefinedCause.NEGATIVE_DEVIATION:
             # a pressure rise cannot come from a leak
             return Verdict.TECHNOLOGICAL, None
         return Verdict.INDETERMINATE, None
-    tv = theta_from_ratio(spec, rp.p, t)
-    band = admissible_band(spec, t)
-    if band is not None:
-        ok = band.contains(rp.p)
-    else:
-        ok = 0.0 < tv.theta < 1.0
-    return (Verdict.ACCIDENT if ok else Verdict.TECHNOLOGICAL), tv
+    tv = theta_from_ratio(spec, rp.p, rp.t)
+    return (Verdict.ACCIDENT if 0.0 < tv.theta < 1.0 else Verdict.TECHNOLOGICAL), tv
 
 
 def classify_regime(spec: PipelineSpec, traj: PressureTrajectory, t_fix: float,
                     eps_meas: float = DEFAULT_EPS_MEAS) -> Verdict:
     """Accident / Technological / Indeterminate at the fixation instant."""
-    rp = pressure_ratio(traj, t_fix, eps_meas)
-    verdict, _ = _judge(spec, rp, t_fix)
+    verdict, _ = _judge(spec, pressure_ratio(traj, t_fix, eps_meas))
     return verdict
 
 
@@ -322,16 +331,16 @@ def _series_theta(spec: PipelineSpec, p: float, t: float) -> float | None:
     return theta if p >= 1.0 else 1.0 - theta
 
 
-def estimate_position(spec: PipelineSpec, traj: PressureTrajectory, t_fix: float,
-                      eps_meas: float = DEFAULT_EPS_MEAS) -> ThetaEstimate:
-    """Full localisation outcome (verdict plus theta and ell2) at t_fix.
+def estimate_from_ratio(spec: PipelineSpec, rp: RatioPoint) -> ThetaEstimate:
+    """Full localisation outcome (verdict plus theta and ell2) of one ratio.
 
-    The verdict comes from the band rule; theta from the root of the model's
+    rp.t is the fixation instant, measured from the event onset.  The
+    verdict comes from the band rule; theta from the root of the model's
     series ratio (see ThetaEstimate).  Should the series resolve no ratio at
-    t_fix, theta falls back to the clamped closed form.
+    rp.t, theta falls back to the clamped closed form.
     """
-    rp = pressure_ratio(traj, t_fix, eps_meas)
-    verdict, tv = _judge(spec, rp, t_fix)
+    t_fix = rp.t
+    verdict, tv = _judge(spec, rp)
     if tv is None:
         return ThetaEstimate(theta=None, ell2_est=None, t_fix=t_fix,
                              verdict=verdict, ratio=rp)
@@ -339,8 +348,16 @@ def estimate_position(spec: PipelineSpec, traj: PressureTrajectory, t_fix: float
     if theta is None:
         theta = min(1.0, max(0.0, tv.theta))
     root = 0.0 < theta < 1.0 and verdict is not Verdict.TECHNOLOGICAL
+    if verdict is Verdict.ACCIDENT:
+        theta = min(1.0 - _THETA_EDGE, max(_THETA_EDGE, theta))
     return ThetaEstimate(theta=theta, ell2_est=theta * spec.length, t_fix=t_fix,
                          verdict=verdict, theta_raw=theta if root else tv.theta, ratio=rp)
+
+
+def estimate_position(spec: PipelineSpec, traj: PressureTrajectory, t_fix: float,
+                      eps_meas: float = DEFAULT_EPS_MEAS) -> ThetaEstimate:
+    """estimate_from_ratio of the trajectory's drop ratio at t_fix."""
+    return estimate_from_ratio(spec, pressure_ratio(traj, t_fix, eps_meas))
 
 
 def min_information_latency(spec: PipelineSpec) -> float:
@@ -357,23 +374,59 @@ def fixation_time(spec: PipelineSpec, sampling_step: float) -> float:
     return k * sampling_step
 
 
+class EmpiricalFixation:
+    """Streaming empirical rule, fed one ratio point at a time.
+
+    A defined point is fixed once a sample at or after t + window has
+    arrived, provided at least one defined point lies in (t, t + window] and
+    none of those exceeds its |p - 1|.  The earliest such point wins.  Only
+    candidates that can still be fixed are kept; each lies in the window of
+    the one before it with no larger |p - 1|, so a push costs amortised O(1).
+    Every candidate but the newest has had a defined point in its window.
+    """
+
+    def __init__(self, window: float):
+        self.window = window
+        self._open: deque[RatioPoint] = deque()
+
+    def push(self, rp: RatioPoint) -> RatioPoint | None:
+        """Feed the next point (times strictly increasing); returns the point
+        fixed by this arrival, if any."""
+        open_ = self._open
+        if rp.defined:
+            if open_ and rp.t > open_[-1].t + self.window:
+                open_.pop()  # its window closes with no defined point
+            while (open_ and abs(open_[-1].p - 1.0) < abs(rp.p - 1.0)
+                   and rp.t <= open_[-1].t + self.window):
+                open_.pop()
+            open_.append(rp)
+        fixed = None
+        while open_ and open_[0].t + self.window <= rp.t:
+            point = open_.popleft()
+            if fixed is None and open_:
+                fixed = point
+        return fixed
+
+
 def fixation_time_empirical(traj: PressureTrajectory,
                             eps_meas: float = DEFAULT_EPS_MEAS,
                             window: float | None = None) -> float | None:
-    """Empirical rule: earliest defined sample where |p - 1| is not exceeded
-    within a trailing confirmation window.
+    """Empirical rule (see EmpiricalFixation) over the whole trajectory.
 
-    Returns None when the ratio is never defined.  window defaults to the
+    Falls back to the last defined sample when no point is fixed, and
+    returns None when the ratio is never defined.  window defaults to the
     trajectory's median sampling step.
     """
-    points = [pressure_ratio(traj, t, eps_meas) for t in traj.times]
-    defined = [rp for rp in points if rp.defined]
-    if not defined:
-        return None
     if window is None:
-        window = traj.median_step() if len(traj.times) > 1 else 0.0
-    for i, rp in enumerate(defined):
-        trailing = [q for q in defined[i + 1:] if q.t <= rp.t + window]
-        if all(abs(rp.p - 1.0) >= abs(q.p - 1.0) for q in trailing):
-            return rp.t
-    return defined[-1].t
+        window = traj.median_step() if len(traj.samples) > 1 else 0.0
+    rule = EmpiricalFixation(window)
+    p1, p2 = traj.baseline
+    last = None
+    for t, p_in, p_out in traj.samples:
+        rp = ratio_from_deviations(p1 - p_in, p2 - p_out, t, eps_meas)
+        fixed = rule.push(rp)
+        if fixed is not None:
+            return fixed.t
+        if rp.defined:
+            last = rp.t
+    return last

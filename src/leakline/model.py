@@ -133,21 +133,6 @@ class SeriesConfig:
 DEFAULT_SERIES = SeriesConfig()
 
 
-@dataclass(frozen=True)
-class TransientSample:
-    """One accepted evaluation of the transient field."""
-
-    x: float
-    t: float
-    pressure: float
-
-    def __post_init__(self):
-        if self.t < 0:
-            raise ValueError("t must be >= 0")
-        if self.pressure <= 0:
-            raise ValueError("pressure must be > 0")
-
-
 def decay_rate(spec: PipelineSpec) -> float:
     """Base decay rate of the transient modes, pi^2 c^2 / (two_a L^2) in 1/s.
 
@@ -182,17 +167,20 @@ def neumann_kernel(x: float, xi: float, length: float) -> float:
     return (x * x + xi * xi) / (2.0 * length) + length / 3.0 - max(x, xi)
 
 
-def series_tail(spec: PipelineSpec, scenario: LeakScenario, n_max: int, t: float,
-                extra_terms: int = 4096) -> float:
+def series_tail(spec: PipelineSpec, scenario: LeakScenario, n_max: int, t: float) -> float:
     """Upper bound on the magnitude dropped by truncating the series at n_max.
 
-    Sums the next `extra_terms` coefficients with the cosines replaced by 1;
-    for any t at or above the early-time floor the remainder beyond that is
-    far below float resolution.
+    With the cosines replaced by 1, m = n_max + 1 and r = decay_rate, the
+    dropped sum over n >= m of e^{-n^2 r t} / n^2 is at most
+    e^{-m^2 r t} / m^2 times the geometric series of e^{-2 m r t}, since
+    n^2 >= m^2 + 2 m (n - m).  Infinite at t = 0.
     """
     amp = 2.0 * spec.two_a * spec.length * scenario.g_leak / PI_SQ
-    n = np.arange(n_max + 1, n_max + 1 + extra_terms, dtype=float)
-    return float(amp * np.sum(np.exp(-n * n * decay_rate(spec) * t) / (n * n)))
+    m = n_max + 1
+    rt = decay_rate(spec) * t
+    if rt <= 0:
+        return math.inf
+    return amp * math.exp(-m * m * rt) / (m * m * -math.expm1(-2.0 * m * rt))
 
 
 def _mode_sum(spec: PipelineSpec, scenario: LeakScenario, n_max: int,
@@ -282,24 +270,6 @@ def inlet_pressure(spec: PipelineSpec, scenario: LeakScenario,
 def outlet_pressure(spec: PipelineSpec, scenario: LeakScenario,
                     cfg: SeriesConfig, t: float) -> float:
     return transient_pressure(spec, scenario, cfg, spec.length, t)
-
-
-def inlet_deviation(spec: PipelineSpec, scenario: LeakScenario,
-                    cfg: SeriesConfig, t: float) -> float:
-    """Drop of the inlet pressure below its steady value (positive = drop)."""
-    return spec.p_inlet_0 - inlet_pressure(spec, scenario, cfg, t)
-
-
-def outlet_deviation(spec: PipelineSpec, scenario: LeakScenario,
-                     cfg: SeriesConfig, t: float) -> float:
-    """Drop of the outlet pressure below its steady value (positive = drop)."""
-    return spec.p_outlet_0 - outlet_pressure(spec, scenario, cfg, t)
-
-
-def sample(spec: PipelineSpec, scenario: LeakScenario, cfg: SeriesConfig,
-           x: float, t: float) -> TransientSample:
-    """Evaluate the field and wrap the result as a validated sample."""
-    return TransientSample(x=x, t=t, pressure=transient_pressure(spec, scenario, cfg, x, t))
 
 
 # The two line configurations used throughout the tests and bundled scenarios.

@@ -12,6 +12,7 @@ not disturb the other), so the damaged line identifies itself.
 from __future__ import annotations
 
 import enum
+import math
 import statistics
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -19,8 +20,9 @@ from typing import Iterable, Iterator
 
 from .detection import (
     DEFAULT_EPS_MEAS,
+    EmpiricalFixation,
     Verdict,
-    _judge,
+    estimate_from_ratio,
     fixation_time,
     ratio_from_deviations,
 )
@@ -120,64 +122,65 @@ def read_pressure_stream(path: str | Path) -> Iterator[tuple[float, float, float
                 raise StreamFormatError(line_no, str(exc)) from None
 
 
-@dataclass
-class _Episode:
-    t_onset: float
-    points: list = field(default_factory=list)   # defined RatioPoint history
-
-
 def run_monitor(cfg: MonitorConfig,
                 stream: Iterable[tuple[float, float, float]]) -> list[MonitorEvent]:
     """Replay a stream and return the ordered decision events.
 
     The episode clock is anchored at the last sample before the first
     measurable deviation (the earliest instant the rupture can have
-    happened), so a grid-rule verdict lands at onset + fixation_time.
+    happened), so a grid-rule verdict lands at onset + fixation_time.  A
+    non-finite or non-positive reading yields a DataQuality event and is
+    left out of the baseline, the episode clock and the fixation rule.
     """
     events: list[MonitorEvent] = []
     baseline_buf: list[tuple[float, float, float]] = []
     baseline: tuple[float, float] | None = None
     prev_t: float | None = None
     prev_quiet_t: float | None = None
-    episode: _Episode | None = None
+    t_onset: float | None = None    # set while an episode is open
+    empirical: EmpiricalFixation | None = None
     done = False
     rearm_pending = False
     quiet_since: float | None = None
     t_fix_target = fixation_time(cfg.spec, cfg.sampling_step)
+    eps = cfg.eps_meas
 
     def emit(t, kind, **payload):
         events.append(MonitorEvent(t=t, kind=kind, payload=payload))
 
-    def issue_verdict(t_abs, tau, rp):
-        verdict, tv = _judge(cfg.spec, rp, tau)
-        payload = {"verdict": verdict, "t_onset": episode.t_onset, "tau": tau,
-                   "p": rp.p if rp.defined else float("nan")}
-        if tv is not None:
-            theta = min(1.0, max(0.0, tv.theta))
-            payload.update(theta=theta, theta_raw=tv.theta,
-                           ell2_est=theta * cfg.spec.length,
-                           orientation=("inlet-half" if theta < 0.5
-                                        else "midpoint" if theta == 0.5
+    def issue_verdict(t_abs, rp):
+        est = estimate_from_ratio(cfg.spec, rp)
+        payload = {"verdict": est.verdict, "t_onset": t_onset, "tau": rp.t, "p": rp.p}
+        if est.theta is not None:
+            payload.update(theta=est.theta, theta_raw=est.theta_raw,
+                           ell2_est=est.ell2_est,
+                           orientation=("inlet-half" if est.theta < 0.5
+                                        else "midpoint" if est.theta == 0.5
                                         else "outlet-half"))
         emit(t_abs, EventKind.VERDICT, **payload)
-        if verdict is Verdict.ACCIDENT and tv is not None:
+        if est.verdict is Verdict.ACCIDENT:
             if cfg.layout is not None:
-                plan = build_isolation_plan(cfg.layout, payload["ell2_est"])
+                plan = build_isolation_plan(cfg.layout, est.ell2_est)
                 emit(t_abs, EventKind.PLAN_ISSUED, close=plan.close,
                      open=plan.open, span=plan.isolated_span, partial=plan.partial)
             else:
                 emit(t_abs, EventKind.DATA_QUALITY,
                      warning="no valve layout configured; plan skipped")
-        return verdict
+        return est.verdict
 
     for t, p_in, p_out in stream:
-        if prev_t is not None and t <= prev_t:
-            raise StreamOrderError(
-                f"timestamp {t:.6g} not after previous {prev_t:.6g}; episode aborted")
+        if prev_t is not None and not prev_t < t < math.inf:  # also catches NaN
+            raise StreamOrderError(f"timestamp {t:.6g} is not a finite time after "
+                                   f"{prev_t:.6g}; episode aborted")
         if prev_t is not None and t - prev_t > 2.0 * cfg.sampling_step:
             emit(t, EventKind.DATA_QUALITY,
                  warning=f"gap {t - prev_t:.6g} s exceeds twice the sampling step")
         prev_t = t
+        if not (0 < p_in < math.inf and 0 < p_out < math.inf):  # also false for NaN
+            emit(t, EventKind.DATA_QUALITY,
+                 warning=f"invalid reading p_inlet={p_in:.6g} p_outlet={p_out:.6g}; "
+                         "sample skipped")
+            continue
 
         if baseline is None:
             baseline_buf.append((t, p_in, p_out))
@@ -193,9 +196,9 @@ def run_monitor(cfg: MonitorConfig,
 
         dev_in = baseline[0] - p_in
         dev_out = baseline[1] - p_out
-        deviating = max(abs(dev_in), abs(dev_out)) >= cfg.eps_meas
+        deviating = not (-eps < dev_in < eps and -eps < dev_out < eps)
 
-        if episode is None:
+        if t_onset is None:
             if rearm_pending:
                 # stay disarmed until the line has been quiet for one full
                 # fixation interval; any deviation restarts the quiet clock
@@ -210,44 +213,30 @@ def run_monitor(cfg: MonitorConfig,
                 continue
             if deviating:
                 t_onset = prev_quiet_t if prev_quiet_t is not None else t - cfg.sampling_step
-                episode = _Episode(t_onset=t_onset)
+                empirical = EmpiricalFixation(cfg.sampling_step)
                 emit(t, EventKind.DEVIATION_DETECTED, dev_inlet=dev_in,
                      dev_outlet=dev_out, t_onset=t_onset)
             else:
                 prev_quiet_t = t
                 continue
 
-        tau = t - episode.t_onset
+        tau = t - t_onset
         rp = ratio_from_deviations(dev_in, dev_out, tau, cfg.eps_meas)
-        if rp.defined:
-            episode.points.append(rp)
-
-        fixed = None
         if cfg.fixation_rule is FixationRule.GRID:
-            if tau >= t_fix_target:
-                fixed = rp
+            fixed = rp if tau >= t_fix_target else None
         else:
-            # earliest defined point whose |p-1| is confirmed by a trailing
-            # window of one sampling step
-            for i, cand in enumerate(episode.points):
-                trailing = [q for q in episode.points[i + 1:]
-                            if q.t <= cand.t + cfg.sampling_step]
-                if not trailing:
-                    continue
-                if all(abs(cand.p - 1.0) >= abs(q.p - 1.0) for q in trailing):
-                    fixed = cand
-                    break
+            fixed = empirical.push(rp)
 
         if fixed is not None:
-            emit(t, EventKind.FIXATION, tau=fixed.t, t_onset=episode.t_onset,
+            emit(t, EventKind.FIXATION, tau=fixed.t, t_onset=t_onset,
                  rule=cfg.fixation_rule)
-            verdict = issue_verdict(t, fixed.t, fixed)
+            verdict = issue_verdict(t, fixed)
             if verdict is Verdict.ACCIDENT:
                 done = True
             else:
                 rearm_pending = True
                 quiet_since = None if deviating else t
-                episode = None
+                t_onset = None
     return events
 
 

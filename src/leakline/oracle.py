@@ -18,7 +18,6 @@ from .model import (
     LeakScenario,
     PipelineSpec,
     SeriesConfig,
-    Variant,
     pressure_profile,
 )
 
@@ -227,7 +226,3 @@ def compare_with_series(spec: PipelineSpec, scenario: LeakScenario, grid: FdGrid
                         inlet_offset_first=inlet_offset,
                         outlet_offset_first=outlet_offset,
                         per_time=tuple(per_time))
-
-
-def variant_config(cfg: SeriesConfig, variant: Variant) -> SeriesConfig:
-    return SeriesConfig(n_max=cfg.n_max, tail_tol=cfg.tail_tol, variant=variant)

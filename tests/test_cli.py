@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import re
+from pathlib import Path
 
 import pytest
 
@@ -128,6 +129,15 @@ class TestLocate:
                            "--eps-meas", "1.0")
         assert code == EXIT_OK
         assert abs(got - grab(r"ell2_est = (\S+) m", out)) > 0.01e4
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_observed_non_finite_exit_one(self, capsys, scenario_path, tmp_path, bad):
+        path = tmp_path / "obs.csv"
+        path.write_text(f"t_seconds,p_inlet_pa,p_outlet_pa\n60,{bad},110000\n120,133000,109700\n")
+        code, _, err = run(capsys, "locate", scenario_path("pipeline_b_start"), "--at", "120",
+                           "--observed", str(path))
+        assert code == EXIT_VALIDATION
+        assert "finite" in err
 
     def test_undefined_ratio_exit_two(self, capsys, scenario_path):
         # full-precision outlet deviation at 300 s sits below the 100 Pa floor
@@ -258,6 +268,19 @@ class TestMonitorCommand:
                            "--stream", replay_path("pipeline_b_flat"))
         assert code == EXIT_OK
         assert "Verdict" not in out
+
+    @pytest.mark.parametrize("rule", ["grid", "empirical"])
+    @pytest.mark.parametrize("replay", ["pipeline_b_start_leak", "pipeline_b_flat",
+                                        "pipeline_b_tech_ramp"])
+    def test_event_lines_match_golden(self, capsys, scenario_path, replay_path, replay, rule):
+        # regenerate a golden file, after a deliberate change, with
+        #   leakline monitor scenarios/pipeline_b_start.cfg \
+        #     --stream scenarios/replays/<replay>.csv --rule <rule> > tests/golden/<replay>.<rule>.log
+        code, out, _ = run(capsys, "monitor", scenario_path("pipeline_b_start"),
+                           "--stream", replay_path(replay), "--rule", rule)
+        assert code == EXIT_OK
+        golden = Path(__file__).parent / "golden" / f"{replay}.{rule}.log"
+        assert out.encode("ascii") == golden.read_bytes()
 
     def test_malformed_csv_exit_one(self, capsys, scenario_path, tmp_path):
         bad = tmp_path / "bad.csv"

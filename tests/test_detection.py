@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leakline.detection import (
+    EmpiricalFixation,
     PressureTrajectory,
+    RatioPoint,
     UndefinedCause,
     Verdict,
     admissible_band,
@@ -19,6 +21,7 @@ from leakline.detection import (
     min_information_latency,
     position_gain,
     pressure_ratio,
+    ratio_from_deviations,
     simulate_trajectory,
     theta_from_ratio,
 )
@@ -68,6 +71,20 @@ class TestPressureRatio:
         traj = PressureTrajectory(samples=((0.0, 56e4, 24e4),), baseline=BASE_A)
         rp = pressure_ratio(traj, 0.0)
         assert not rp.defined and rp.cause is UndefinedCause.NEGATIVE_DEVIATION
+
+    @pytest.mark.parametrize("dev_in,dev_out", [(math.nan, 300.0), (500.0, math.inf),
+                                                (-math.inf, 300.0)])
+    def test_non_finite_deviation_undefined(self, dev_in, dev_out):
+        rp = ratio_from_deviations(dev_in, dev_out, 120.0, 100.0)
+        assert not rp.defined and rp.cause is UndefinedCause.NON_FINITE
+        assert math.isnan(rp.p)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_trajectory_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            PressureTrajectory(samples=((60.0, bad, 24e4),), baseline=BASE_A)
+        with pytest.raises(ValueError, match="finite"):
+            PressureTrajectory(samples=((60.0, 54e4, bad),), baseline=BASE_A)
 
     def test_outside_span_rejected(self):
         with pytest.raises(ValueError, match="span"):
@@ -214,14 +231,16 @@ class TestClassification:
         assert est.theta == est.theta_raw  # in range, no clamping needed
 
     def test_ratio_beyond_series_range_takes_nearer_end(self):
-        # the series ratio at 300 s spans about (1/2030, 2030) on line A
+        # the series ratio at 300 s spans about (1/2030, 2030) on line A; the
+        # estimate stays strictly inside the line, so valves can bracket it
         for dev_in, dev_out, end in ((5e4, 10.0, 0.0), (10.0, 5e4, 1.0)):
             traj = PressureTrajectory(samples=((300.0, 55e4 - dev_in, 25e4 - dev_out),),
                                       baseline=BASE_A)
             est = estimate_position(PIPELINE_A, traj, 300.0, eps_meas=1.0)
             closed = theta_from_ratio(PIPELINE_A, est.ratio.p, 300.0).theta
             assert est.verdict is Verdict.ACCIDENT
-            assert est.theta == end and est.ell2_est == end * PIPELINE_A.length
+            assert est.theta == pytest.approx(end, abs=2e-6) and 0.0 < est.theta < 1.0
+            assert est.ell2_est == est.theta * PIPELINE_A.length
             assert est.theta_raw == closed and 0.0 < closed < 1.0
 
     def test_technological_estimate_keeps_closed_form_raw(self):
@@ -280,6 +299,30 @@ class TestTimingRules:
         rows = [(60.0 * k, 14e4 - 1000.0 * k, 11e4 - 1000.0 * k) for k in range(1, 8)]
         traj = PressureTrajectory(samples=tuple(rows), baseline=BASE_B)
         assert fixation_time_empirical(traj, eps_meas=100.0) == 60.0
+
+    @given(steps=st.lists(st.integers(1, 4), min_size=1, max_size=30),
+           ps=st.lists(st.sampled_from([None, 0.5, 1.0, 1.5, 2.0, 3.0]), min_size=30,
+                       max_size=30),
+           window=st.integers(0, 5))
+    @settings(max_examples=300, deadline=None)
+    def test_streaming_rule_matches_definition(self, steps, ps, window):
+        times = [float(sum(steps[:i + 1])) for i in range(len(steps))]
+        points = [RatioPoint(t=t, p=math.nan, defined=False) if p is None
+                  else RatioPoint(t=t, p=p, defined=True) for t, p in zip(times, ps)]
+        # by definition: the earliest defined point whose window holds a
+        # defined point and none with a larger |p - 1|, fixed on the first
+        # arrival at or after t + window
+        want = None
+        for c in (q for q in points if q.defined):
+            inside = [q for q in points if q.defined and c.t < q.t <= c.t + window]
+            closing = [q.t for q in points if q.t >= c.t + window]
+            if inside and closing and all(abs(q.p - 1) <= abs(c.p - 1) for q in inside):
+                want = (closing[0], c)
+                break
+        rule = EmpiricalFixation(float(window))
+        got = next(((q.t, fixed) for q in points
+                    if (fixed := rule.push(q)) is not None), None)
+        assert got == want
 
     def test_empirical_rule_no_signal(self):
         rows = [(60.0 * k, 14e4, 11e4) for k in range(1, 8)]

@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import math
+import re
+
 import pytest
 
-from leakline.detection import Verdict
+from leakline.cli import main
+from leakline.detection import PressureTrajectory, Verdict, fixation_time_empirical
 from leakline.isolation import ConnectorValve, ValveLayout
 from leakline.model import PIPELINE_B
 from leakline.monitor import (
@@ -50,11 +54,23 @@ class TestLeakReplay:
         assert verdict.t == 120.0
         assert verdict.payload["verdict"] is Verdict.ACCIDENT
         assert verdict.payload["tau"] == 120.0
-        assert verdict.payload["ell2_est"] == pytest.approx(0.28e4, abs=0.01e4)
+        # the series root, within criterion 5's 4 % of the true 0.5e4
+        assert verdict.payload["ell2_est"] == pytest.approx(0.5e4, abs=0.04 * PIPELINE_B.length)
         assert verdict.payload["orientation"] == "inlet-half"
         plan = events[4]
-        assert plan.payload["close"] == (0.0, 0.5e4)
-        assert plan.payload["open"] == ("c1",)
+        assert plan.payload["close"] == (0.5e4, 1e4)
+        assert plan.payload["open"] == ("c2",)
+        lo, hi = plan.payload["span"]
+        assert lo <= 0.5e4 <= hi
+
+    def test_position_matches_locate(self, replay_path, scenario_path, capsys):
+        replay = replay_path("pipeline_b_start_leak")
+        events = run_monitor(config(), read_pressure_stream(replay))
+        verdict = next(e for e in events if e.kind is EventKind.VERDICT)
+        assert main(["locate", scenario_path("pipeline_b_start"), "--observed", replay,
+                     "--at", "120"]) == 0
+        located = re.search(r"^ell2_est = (\S+) m$", capsys.readouterr().out, re.M)
+        assert f"{verdict.payload['ell2_est']:.6g}" == located.group(1)
 
     def test_no_verdict_before_fixation(self, replay_path):
         stream = list(read_pressure_stream(replay_path("pipeline_b_start_leak")))
@@ -110,6 +126,71 @@ class TestEmpiricalRule:
         assert fixation.payload["tau"] == 120.0
         verdict = next(e for e in events if e.kind is EventKind.VERDICT)
         assert verdict.payload["verdict"] is Verdict.ACCIDENT
+
+    @pytest.mark.parametrize("eps_meas", [100.0, 0.05e4, 0.2e4])
+    def test_stream_and_batch_rules_agree(self, replay_path, eps_meas):
+        # the replay's onset is t = 0, so the stream's tau is the batch's t
+        stream = list(read_pressure_stream(replay_path("pipeline_b_start_leak")))
+        events = run_monitor(config(fixation_rule=FixationRule.EMPIRICAL,
+                                    eps_meas=eps_meas), stream)
+        fixation = next(e for e in events if e.kind is EventKind.FIXATION)
+        traj = PressureTrajectory(samples=tuple(r for r in stream if r[0] > 0),
+                                  baseline=(14e4, 11e4))
+        assert fixation.payload["tau"] == fixation_time_empirical(traj, eps_meas=eps_meas)
+
+    def test_point_before_gap_not_fixed(self):
+        # p = 1.5, 3 | gap | 3, 2.5, 2: the point at 120 s is the largest
+        # |p - 1| so far but nothing confirms it within one step
+        ratios = {60.0: 1.5, 120.0: 3.0, 300.0: 3.0, 360.0: 2.5, 420.0: 2.0}
+        rows = [(t, 14e4 - 1000.0 * p, 11e4 - 1000.0) for t, p in ratios.items()]
+        traj = PressureTrajectory(samples=tuple(rows), baseline=(14e4, 11e4))
+        assert fixation_time_empirical(traj, eps_meas=100.0, window=60.0) == 300.0
+        events = run_monitor(config(fixation_rule=FixationRule.EMPIRICAL),
+                             quiet_prefix() + rows)
+        fixation = next(e for e in events if e.kind is EventKind.FIXATION)
+        assert fixation.payload["tau"] == 300.0
+
+
+class TestBadReadings:
+    """Invalid readings are reported and never decide anything."""
+
+    def leak_rows(self, replay_path):
+        return list(read_pressure_stream(replay_path("pipeline_b_start_leak")))
+
+    def dq_warnings(self, events):
+        return [e.payload["warning"] for e in events if e.kind is EventKind.DATA_QUALITY]
+
+    def test_nan_inlet_during_rupture(self, replay_path):
+        rows = self.leak_rows(replay_path)
+        i = next(i for i, r in enumerate(rows) if r[0] == 120.0)
+        rows[i] = (120.0, math.nan, rows[i][2])
+        events = run_monitor(config(), rows)
+        assert any("invalid reading" in w for w in self.dq_warnings(events))
+        verdict = next(e for e in events if e.kind is EventKind.VERDICT)
+        assert verdict.payload["verdict"] is Verdict.ACCIDENT
+        assert verdict.payload["tau"] == 180.0  # the next valid sample
+
+    def test_nan_baseline_samples_skipped(self, replay_path):
+        rows = self.leak_rows(replay_path)
+        nans = [(-480.0 + 60.0 * k, math.nan, math.nan) for k in range(3)]
+        events = run_monitor(config(), nans + rows)
+        assert len(self.dq_warnings(events)) == 3
+        baseline = next(e for e in events if e.kind is EventKind.BASELINE)
+        assert (baseline.payload["p_inlet"], baseline.payload["p_outlet"]) == (14e4, 11e4)
+        assert next(e for e in events if e.kind is EventKind.VERDICT).payload["verdict"] \
+            is Verdict.ACCIDENT
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, -5.0, 0.0])
+    def test_repeated_invalid_readings_decide_nothing(self, bad):
+        rows = quiet_prefix() + [(60.0 * k, bad, bad) for k in range(1, 11)]
+        events = run_monitor(config(), rows)
+        assert kinds(events) == [EventKind.BASELINE] + [EventKind.DATA_QUALITY] * 10
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_timestamp_aborts(self, bad):
+        rows = quiet_prefix() + [(bad, 13.37e4, 10.97e4)]
+        with pytest.raises(StreamOrderError, match="not a finite time"):
+            run_monitor(config(), rows)
 
 
 class TestStreamHygiene:
