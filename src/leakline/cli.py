@@ -148,15 +148,7 @@ def cmd_verify(args) -> int:
         sc.run.t_end if sc.run is not None else 900.0)
     step = args.step if args.step is not None else max(t_end / 18.0, 1.0)
     times = [round(t, 9) for t in np.arange(step, t_end + step / 2, step)]
-    if args.dt is not None:
-        grid = oracle.FdGrid(nx=args.nx, dt=args.dt, t_end=t_end)
-        try:
-            grid.check_stability(sc.spec)
-        except oracle.UnstableGridError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_VALIDATION
-    else:
-        grid = oracle.FdGrid.stable(sc.spec, args.nx, t_end)
+    grid = oracle.FdGrid(nx=args.nx, t_end=t_end)
     report = oracle.compare_with_series(sc.spec, leak, grid, cfg,
                                         output_times=times, tolerance=args.tol)
     print(report.summary())
@@ -221,7 +213,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("verify", help="compare the series against the FD oracle")
     p.add_argument("scenario")
     p.add_argument("--nx", type=int, default=2000)
-    p.add_argument("--dt", type=float, default=None, help="explicit time step override")
     p.add_argument("--t-end", type=float, default=None)
     p.add_argument("--step", type=float, default=None, help="snapshot spacing (s)")
     p.add_argument("--tol", type=float, default=1e-3, help="max relative error allowed")
@@ -249,7 +240,7 @@ def main(argv: list[str] | None = None) -> int:
         print(str(exc), file=sys.stderr)
         return EXIT_VALIDATION
     except (ScenarioError, monitor_mod.StreamFormatError, monitor_mod.StreamOrderError,
-            oracle.UnstableGridError, ValueError, OSError) as exc:
+            ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

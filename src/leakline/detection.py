@@ -24,6 +24,7 @@ import math
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -131,13 +132,13 @@ class PressureTrajectory:
             raise ValueError("baseline must satisfy P1 > P2 > 0")
         if not all(math.isfinite(v) for s in self.samples for v in s):
             raise ValueError("times and pressures must be finite")
-        times = [s[0] for s in self.samples]
+        times = self.times
         if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
             raise ValueError("sample times must be strictly increasing")
         if any(s[1] <= 0 or s[2] <= 0 for s in self.samples):
             raise ValueError("pressures must be positive")
 
-    @property
+    @cached_property
     def times(self) -> tuple[float, ...]:
         return tuple(s[0] for s in self.samples)
 

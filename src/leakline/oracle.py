@@ -1,10 +1,22 @@
 """Finite-difference oracle for the transient model.
 
 Solves the deviation problem u_t = (c^2/two_a) u_xx - c^2 g_leak delta(x-ell2)
-with zero-flux ends and u(x,0)=0 on a cell-centred grid with explicit Euler
-stepping, independently of the cosine series.  The point sink is spread over
-the single cell containing the leak, which keeps the scheme exactly
-mass-conservative: the cell sum drains by c^2 * g_leak per unit time.
+with zero-flux ends and u(x,0)=0 on a cell-centred grid, independently of the
+cosine series.  The point sink is spread over the single cell containing the
+leak, which keeps the scheme exactly mass-conservative: the cell sum drains by
+c^2 * g_leak per unit time.
+
+The semi-discrete system du/dt = (kappa/dx^2) T u - s, with T the three-point
+zero-flux stencil, is integrated exactly in time.  T's eigenvectors are the
+DCT-II modes v_k[i] = cos(pi k (i + 1/2) / nx) with eigenvalues
+-4 sin^2(pi k / (2 nx)), so
+
+    u(t) = sum_k phi(lambda_k, t) (v_k . s / |v_k|^2) v_k,
+    phi(lambda, t) = expm1(lambda t) / lambda   (t for the constant mode).
+
+The sum over modes is one FFT of length 2 nx per output time: there is no time
+step, no stability limit and no nx-by-nx matrix.  The only error left is the
+spatial one, first order in dx through the sink's place in its cell.
 """
 
 from __future__ import annotations
@@ -21,52 +33,19 @@ from .model import (
     pressure_profile,
 )
 
-try:
-    from numba import njit
-except ImportError:  # pragma: no cover - numba is an optional accelerator
-    njit = None
-
-DEFAULT_SAFETY = 0.45
-
-
-class UnstableGridError(ValueError):
-    def __init__(self, dt: float, dt_stable: float):
-        self.dt_stable = dt_stable
-        super().__init__(
-            f"dt = {dt:.6g} s unstable for explicit stepping; need dt <= {dt_stable:.6g} s"
-        )
-
 
 @dataclass(frozen=True)
 class FdGrid:
-    """Explicit-Euler grid: nx interior cells, step dt, horizon t_end."""
+    """nx cells over the line; output times may run up to t_end."""
 
     nx: int
-    dt: float
     t_end: float
 
     def __post_init__(self):
         if self.nx < 3:
             raise ValueError("nx must be >= 3")
-        if self.dt <= 0 or self.t_end <= 0:
-            raise ValueError("dt and t_end must be > 0")
-
-    @staticmethod
-    def stable_dt(spec: PipelineSpec, nx: int, safety: float = DEFAULT_SAFETY) -> float:
-        if not 0 < safety <= 1:
-            raise ValueError("safety must lie in (0, 1]")
-        dx = spec.length / nx
-        return safety * dx * dx / (2.0 * spec.diffusivity)
-
-    @classmethod
-    def stable(cls, spec: PipelineSpec, nx: int, t_end: float,
-               safety: float = DEFAULT_SAFETY) -> "FdGrid":
-        return cls(nx=nx, dt=cls.stable_dt(spec, nx, safety), t_end=t_end)
-
-    def check_stability(self, spec: PipelineSpec) -> None:
-        dt_stable = self.stable_dt(spec, self.nx, safety=1.0)
-        if self.dt > dt_stable:
-            raise UnstableGridError(self.dt, self.stable_dt(spec, self.nx))
+        if self.t_end <= 0:
+            raise ValueError("t_end must be > 0")
 
 
 @dataclass(frozen=True)
@@ -86,72 +65,38 @@ class FdField:
         return float(self.deviations()[i].mean())
 
 
-def _march_numpy(u: np.ndarray, r: float, sink_cell: int, sink_step: float,
-                 steps: int) -> None:
-    buf = np.empty_like(u)
-    for _ in range(steps):
-        buf[1:-1] = u[1:-1] + r * (u[2:] - 2.0 * u[1:-1] + u[:-2])
-        buf[0] = u[0] + r * (u[1] - u[0])
-        buf[-1] = u[-1] + r * (u[-2] - u[-1])
-        buf[sink_cell] -= sink_step
-        u[:] = buf
-
-
-if njit is not None:
-    @njit(cache=True)
-    def _march_numba(u, r, sink_cell, sink_step, steps):  # pragma: no cover - compiled
-        nx = u.shape[0]
-        for _ in range(steps):
-            prev_old = u[0]
-            u[0] = u[0] + r * (u[1] - u[0])
-            for i in range(1, nx - 1):
-                cur_old = u[i]
-                u[i] = cur_old + r * (u[i + 1] - 2.0 * cur_old + prev_old)
-                prev_old = cur_old
-            u[nx - 1] = u[nx - 1] + r * (prev_old - u[nx - 1])
-            u[sink_cell] -= sink_step
-else:
-    _march_numba = None
-
-
 def fd_solve(spec: PipelineSpec, scenario: LeakScenario, grid: FdGrid,
              output_times: list[float] | None = None) -> FdField:
-    """March the deviation field and snapshot it at the requested times."""
+    """Evaluate the semi-discrete deviation field at the requested times."""
     scenario.check_against(spec)
-    grid.check_stability(spec)
     if output_times is None:
         output_times = [grid.t_end]
     times = sorted(float(t) for t in output_times)
     if times and times[-1] > grid.t_end + 1e-9:
         raise ValueError("output times exceed the grid horizon")
+    include_zero = bool(times) and times[0] <= 1e-12
+    out_times = ([0.0] if include_zero else []) + [t for t in times if t > 1e-12]
 
     nx = grid.nx
     dx = spec.length / nx
     x = (np.arange(nx) + 0.5) * dx
     sink_cell = min(int(scenario.ell2 / dx), nx - 1)
-    kappa = spec.diffusivity
     sink_rate = spec.sound_speed**2 * scenario.g_leak / dx   # Pa/s into one cell
 
-    include_zero = bool(times) and times[0] <= 1e-12
-    positive = [t for t in times if t > 1e-12]
-    u = np.zeros(nx)
-    snaps = [u.copy()] if include_zero else []
-    t_cur = 0.0
-    for t_next in positive:
-        steps = max(1, math.ceil((t_next - t_cur) / grid.dt - 1e-12))
-        h = (t_next - t_cur) / steps
-        r = kappa * h / (dx * dx)
-        if _march_numba is not None:
-            _march_numba(u, r, sink_cell, sink_rate * h, steps)
-        else:
-            _march_numpy(u, r, sink_cell, sink_rate * h, steps)
-        t_cur = t_next
-        snaps.append(u.copy())
+    k = np.arange(nx)
+    lam = -(4.0 * spec.diffusivity / (dx * dx)) * np.sin(0.5 * np.pi * k / nx) ** 2
+    weight = np.cos(np.pi * k * (sink_cell + 0.5) / nx) * (2.0 / nx)   # v_k[j] / |v_k|^2
+    weight[0] = 1.0 / nx
+    t = np.array(out_times)[:, None]
+    phi = np.empty((len(out_times), nx))
+    phi[:, :1] = t
+    phi[:, 1:] = np.expm1(lam[1:] * t) / lam[1:]
+    coeff = -sink_rate * weight * phi
+    # sum_k coeff_k cos(pi k (i + 1/2) / nx) is the real part of a 2 nx FFT
+    u = np.fft.fft(coeff * np.exp(-0.5j * np.pi * k / nx), n=2 * nx).real[:, :nx]
 
-    out_times = ([0.0] if include_zero else []) + positive
     steady = spec.p_inlet_0 - spec.two_a * spec.g0 * x
-    pressures = steady + np.stack(snaps)
-    return FdField(times=tuple(out_times), x=x, pressures=pressures, spec=spec)
+    return FdField(times=tuple(out_times), x=x, pressures=steady + u, spec=spec)
 
 
 @dataclass(frozen=True)

@@ -154,7 +154,7 @@ def test_criterion_6_oracle_equivalence():
     times = [50.0 * k for k in range(1, 19)]  # 50..900
     for ell2 in (0.5e4, 5e4, 9.5e4):
         leak = LeakScenario(ell2=ell2, g_leak=PIPELINE_A.g0)
-        grid = FdGrid.stable(PIPELINE_A, 2000, 900.0)
+        grid = FdGrid(2000, 900.0)
         rep = compare_with_series(PIPELINE_A, leak, grid, CFG, output_times=times,
                                   tolerance=ORACLE_RTOL)
         if not rep.passed:
@@ -163,7 +163,7 @@ def test_criterion_6_oracle_equivalence():
     errs = []
     leak = LeakScenario(ell2=0.5e4, g_leak=PIPELINE_A.g0)
     for nx in (500, 1000, 2000):
-        rep = compare_with_series(PIPELINE_A, leak, FdGrid.stable(PIPELINE_A, nx, 900.0),
+        rep = compare_with_series(PIPELINE_A, leak, FdGrid(nx, 900.0),
                                   CFG, output_times=times)
         errs.append(rep.max_abs)
     if not errs[0] > errs[1] > errs[2]:

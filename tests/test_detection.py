@@ -90,6 +90,12 @@ class TestPressureRatio:
         with pytest.raises(ValueError, match="span"):
             pressure_ratio(traj_a(0.5e4), 1200.0)
 
+    def test_times_built_once(self):
+        # a ratio scan over the whole trajectory must not rebuild the times per lookup
+        traj = traj_a(0.5e4)
+        assert traj.times is traj.times
+        assert traj.at(traj.times[-1]) == traj.samples[-1][1:]
+
 
 class TestPositionGain:
     def test_late_time_limit(self):
@@ -355,7 +361,7 @@ class TestForeignData:
     @pytest.mark.parametrize("theta", [0.25, 0.75])
     def test_fd_oracle_end_cells(self, spec, nx, t_fix, theta):
         leak = LeakScenario(ell2=theta * spec.length, g_leak=spec.g0)
-        dev = fd_solve(spec, leak, FdGrid.stable(spec, nx, t_fix), [t_fix]).deviations()[-1]
+        dev = fd_solve(spec, leak, FdGrid(nx, t_fix), [t_fix]).deviations()[-1]
         traj = PressureTrajectory(
             samples=((t_fix, spec.p_inlet_0 + dev[0], spec.p_outlet_0 + dev[-1]),),
             baseline=(spec.p_inlet_0, spec.p_outlet_0))
