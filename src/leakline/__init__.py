@@ -44,6 +44,7 @@ from .model import (
     inlet_pressure,
     neumann_kernel,
     outlet_pressure,
+    pressure_field,
     pressure_profile,
     steady_pressure,
     transient_pressure,
@@ -62,4 +63,17 @@ from .scenario import RunWindow, Scenario, ScenarioError, load_scenario
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "DEFAULT_EPS_MEAS", "PressureTrajectory", "RatioPoint", "RegimeBand", "ThetaEstimate",
+    "Verdict", "admissible_band", "classify_regime", "estimate_position", "fixation_time",
+    "fixation_time_empirical", "min_information_latency", "position_gain", "pressure_ratio",
+    "simulate_trajectory", "theta_from_ratio", "ConnectorValve", "IsolationPlan",
+    "ValveLayout", "bounding_valves", "build_isolation_plan", "normal_regime_state",
+    "PIPELINE_A", "PIPELINE_B", "LeakScenario", "PipelineSpec", "SeriesConfig",
+    "SeriesPrecisionWarning", "Variant", "decay_rate", "inlet_pressure", "neumann_kernel",
+    "outlet_pressure", "pressure_field", "pressure_profile", "steady_pressure",
+    "transient_pressure", "EventKind", "FixationRule", "MonitorConfig", "MonitorEvent",
+    "append_event_log", "read_pressure_stream", "run_monitor", "FdGrid", "FdField",
+    "OracleReport", "compare_with_series", "fd_solve", "RunWindow", "Scenario",
+    "ScenarioError", "load_scenario",
+]

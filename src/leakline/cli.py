@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from . import detection, monitor as monitor_mod, oracle
-from .model import SeriesConfig, Variant, inlet_pressure, outlet_pressure, pressure_profile
+from .model import SeriesConfig, Variant, pressure_field
 from .scenario import Scenario, ScenarioError, load_scenario
 
 EXIT_OK = 0
@@ -38,10 +38,6 @@ def _fmt_table(v: float) -> str:
     return f"{v / 1e4:.2f}"
 
 
-def _fmt_full(v: float) -> str:
-    return repr(float(v))
-
-
 def _series_override(args, base: SeriesConfig) -> SeriesConfig:
     n_max = args.nmax if args.nmax is not None else base.n_max
     variant = Variant(args.variant) if args.variant is not None else base.variant
@@ -56,31 +52,30 @@ def _write_or_print(text: str, out: str | None) -> None:
 
 
 def cmd_simulate(args) -> int:
+    if args.field_points < 1:
+        raise ValueError(f"--field-points must be >= 1, got {args.field_points}")
     sc = load_scenario(args.scenario)
     leak, run = sc.require_leak(), sc.require_run()
     cfg = _series_override(args, sc.series)
     times = run.times()
-    lines = []
+    pins = pressure_field(sc.spec, leak, cfg, [0.0], times)[:, 0].tolist()
+    pouts = pressure_field(sc.spec, leak, cfg, [sc.spec.length], times)[:, 0].tolist()
     if args.csv:
-        lines.append("t_seconds,p_inlet_pa,p_outlet_pa")
-        for t in times:
-            pin = inlet_pressure(sc.spec, leak, cfg, t)
-            pout = outlet_pressure(sc.spec, leak, cfg, t)
-            lines.append(f"{t:g},{_fmt_full(pin)},{_fmt_full(pout)}")
+        header, fmt, sep = "t_seconds,p_inlet_pa,p_outlet_pa", repr, ","  # repr round-trips
     else:
-        lines.append("t_s\tP_inlet_1e4Pa\tP_outlet_1e4Pa")
-        for t in times:
-            pin = inlet_pressure(sc.spec, leak, cfg, t)
-            pout = outlet_pressure(sc.spec, leak, cfg, t)
-            lines.append(f"{t:g}\t{_fmt_table(pin)}\t{_fmt_table(pout)}")
+        header, fmt, sep = "t_s\tP_inlet_1e4Pa\tP_outlet_1e4Pa", _fmt_table, "\t"
+    lines = [header] + [f"{t:g}{sep}{fmt(pin)}{sep}{fmt(pout)}"
+                        for t, pin, pout in zip(times, pins, pouts)]
     _write_or_print("\n".join(lines) + "\n", args.out)
 
     if args.field is not None:
         xs = np.linspace(0.0, sc.spec.length, args.field_points)
+        field = pressure_field(sc.spec, leak, cfg, xs, times)
+        x_labels = [f"{x:g}" for x in xs]
         rows = ["t_seconds,x_m,pressure_pa"]
-        for t in times:
-            profile = pressure_profile(sc.spec, leak, cfg, xs, t)
-            rows.extend(f"{t:g},{x:g},{_fmt_full(p)}" for x, p in zip(xs, profile))
+        for t, profile in zip(times, field.tolist()):
+            t_label = f"{t:g}"
+            rows.extend(f"{t_label},{x},{p!r}" for x, p in zip(x_labels, profile))
         Path(args.field).write_text("\n".join(rows) + "\n", encoding="ascii")
     return EXIT_OK
 
@@ -141,6 +136,8 @@ def cmd_curves(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.step is not None and not args.step > 0:
+        raise ValueError(f"--step must be > 0, got {args.step:g}")
     sc = load_scenario(args.scenario)
     leak = sc.require_leak()
     cfg = _series_override(args, sc.series)

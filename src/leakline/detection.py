@@ -35,8 +35,7 @@ from .model import (
     PipelineSpec,
     SeriesConfig,
     decay_rate,
-    inlet_pressure,
-    outlet_pressure,
+    pressure_field,
     pressure_profile,
 )
 
@@ -169,15 +168,12 @@ def simulate_trajectory(spec: PipelineSpec, scenario: LeakScenario,
     quantum, when given, rounds the pressures to that resolution (100 Pa
     mimics a gauge reading two decimals in units of 1e4 Pa).
     """
-    rows = []
-    for t in times:
-        pin = inlet_pressure(spec, scenario, cfg, t)
-        pout = outlet_pressure(spec, scenario, cfg, t)
-        if quantum is not None:
-            pin = round(pin / quantum) * quantum
-            pout = round(pout / quantum) * quantum
-        rows.append((float(t), pin, pout))
-    return PressureTrajectory(samples=tuple(rows),
+    pins = pressure_field(spec, scenario, cfg, [0.0], times)[:, 0].tolist()
+    pouts = pressure_field(spec, scenario, cfg, [spec.length], times)[:, 0].tolist()
+    if quantum is not None:
+        pins = [round(p / quantum) * quantum for p in pins]
+        pouts = [round(p / quantum) * quantum for p in pouts]
+    return PressureTrajectory(samples=tuple(zip(map(float, times), pins, pouts)),
                               baseline=(spec.p_inlet_0, spec.p_outlet_0))
 
 

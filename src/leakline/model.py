@@ -8,6 +8,9 @@ sink.  With the end mass fluxes held at their steady value, the deviation from
 the steady profile solves a zero-flux (Neumann) problem whose eigenfunction
 expansion is evaluated here with controlled truncation.
 
+pressure_field is the one evaluator, over a whole (times x xs) grid per call;
+pressure_profile, transient_pressure, inlet_pressure and outlet_pressure are views of it.
+
 All pressures are plain floats in Pa, lengths in m, times in s.
 """
 
@@ -153,18 +156,15 @@ def steady_pressure(spec: PipelineSpec, x: float) -> float:
     return spec.p_inlet_0 - spec.two_a * spec.g0 * x
 
 
-def neumann_kernel(x: float, xi: float, length: float) -> float:
+def neumann_kernel(x, xi: float, length: float):
     """Zero-mean kernel of the zero-flux diffusion problem on [0, length].
 
-    H(x, xi) = (x^2 + xi^2) / (2 L) + L/3 - max(x, xi).  Symmetric in its
-    arguments and integrates to zero over x for any xi; the static part of
-    the leak response is -two_a * g_leak * H(x, ell2).
+    H(x, xi) = (x^2 + xi^2) / (2 L) + L/3 - max(x, xi), elementwise over an
+    array x.  Symmetric in its arguments and integrates to zero over x for
+    any xi; the static part of the leak response is -two_a * g_leak * H(x, ell2).
+    Both arguments are taken to lie in [0, length].
     """
-    if not 0 <= x <= length:
-        raise ValueError(f"x = {x:.6g} outside [0, {length:.6g}]")
-    if not 0 <= xi <= length:
-        raise ValueError(f"xi = {xi:.6g} outside [0, {length:.6g}]")
-    return (x * x + xi * xi) / (2.0 * length) + length / 3.0 - max(x, xi)
+    return (x * x + xi * xi) / (2.0 * length) + length / 3.0 - np.maximum(x, xi)
 
 
 def series_tail(spec: PipelineSpec, scenario: LeakScenario, n_max: int, t: float) -> float:
@@ -183,77 +183,75 @@ def series_tail(spec: PipelineSpec, scenario: LeakScenario, n_max: int, t: float
     return amp * math.exp(-m * m * rt) / (m * m * -math.expm1(-2.0 * m * rt))
 
 
-def _mode_sum(spec: PipelineSpec, scenario: LeakScenario, n_max: int,
-              xs: np.ndarray, t: float) -> np.ndarray:
-    """Sum of the decaying cosine modes at positions xs (vectorised)."""
-    L = spec.length
-    n = np.arange(1, n_max + 1, dtype=float)
-    decay = np.exp(-n * n * decay_rate(spec) * t) / (n * n)
-    leak_modes = np.cos(np.pi * n * scenario.ell2 / L) * decay
-    return np.cos(np.pi * np.outer(xs, n) / L) @ leak_modes
+def pressure_field(spec: PipelineSpec, scenario: LeakScenario, cfg: SeriesConfig,
+                   xs: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Transient pressure at positions xs (m) for each of times (s).
 
-
-def _startup_sum(spec: PipelineSpec, n_max: int, xs: np.ndarray, t: float) -> np.ndarray:
-    """Base-flow start-up series kept by the AS_PRINTED variant.
-
-    (8 a L g0 / pi^2) * sum_n cos(pi n x / L) exp(-(2n-1)^2 rate t) / (2n-1)^2,
-    with the index mismatch between the cosine and the decay preserved as in
-    the source formulation.  At x=0, t=0 it sums to a*L*g0.
+    Row i of the (len(times), len(xs)) result is the profile at times[i]; it
+    is bit-identical to a call with times[i] alone.  It is not to a call with
+    other xs, since the matrix-vector product rounds by shape.  A row below
+    the early-time floor is the t=0 profile.  Each row below that floor
+    (t > 0), or whose truncation tail exceeds cfg.tail_tol, warns once.
     """
-    L = spec.length
-    amp = 4.0 * spec.two_a * L * spec.g0 / PI_SQ
-    n = np.arange(1, n_max + 1, dtype=float)
-    odd = 2.0 * n - 1.0
-    decay = np.exp(-odd * odd * decay_rate(spec) * t) / (odd * odd)
-    return amp * (np.cos(np.pi * np.outer(xs, n) / L) @ decay)
+    xs = np.asarray(xs, dtype=float)
+    times = np.asarray(times, dtype=float).tolist()
+    if xs.size and (xs.min() < 0 or xs.max() > spec.length):
+        raise ValueError("positions outside [0, length]")
+    if any(t < 0 for t in times):
+        raise ValueError("t must be >= 0")
+    scenario.check_against(spec)
+
+    L, g, ell2 = spec.length, scenario.g_leak, scenario.ell2
+    steady = spec.p_inlet_0 - spec.two_a * spec.g0 * xs
+    rate, floor = decay_rate(spec), early_time_floor(spec)
+    n = np.arange(1, cfg.n_max + 1, dtype=float)
+    # one fixed operation order, -n * n * rate * t and steady - drain - static
+    # + modes: tests/golden pins the last bits of the printed pressures
+    exponent, n_sq = -n * n * rate, n * n
+    cosines = np.cos(np.pi * np.outer(xs, n) / L)
+    leak_cosines = np.cos(np.pi * n * ell2 / L)
+    amp = 2.0 * spec.two_a * L * g / PI_SQ
+    as_printed = cfg.variant is Variant.AS_PRINTED
+    if as_printed:
+        # one-sided kernel, downstream sign flipped, start-up series (8 a L g0/pi^2)
+        # sum_n cos(pi n x/L) e^{-(2n-1)^2 rate t}/(2n-1)^2 (a*L*g0 at x=0, t=0)
+        kernel = (xs * xs + ell2 * ell2) / (2.0 * L) + L / 3.0 - ell2
+        flipped = spec.two_a * g * np.where(xs > ell2, xs - ell2, 0.0)
+        odd = 2.0 * n - 1.0
+        odd_exponent, odd_sq = -odd * odd * rate, odd * odd
+        startup_amp = 4.0 * spec.two_a * L * spec.g0 / PI_SQ
+    else:
+        kernel = neumann_kernel(xs, ell2, L)
+    static, drain_rate = spec.two_a * g * kernel, spec.sound_speed**2 * g / L
+
+    field = np.empty((len(times), xs.size))
+    for row, t in zip(field, times):
+        if t < floor:
+            if t > 0:
+                warnings.warn(f"t = {t:.6g} s below the series validity floor {floor:.6g} s; "
+                              "returning the t=0 profile", SeriesPrecisionWarning, stacklevel=2)
+            row[:] = steady
+            continue
+        tail = series_tail(spec, scenario, cfg.n_max, t)
+        if tail > cfg.tail_tol:
+            warnings.warn(f"series tail {tail:.3g} Pa exceeds tail_tol {cfg.tail_tol:.3g} Pa "
+                          f"at t = {t:.6g} s with n_max = {cfg.n_max}",
+                          SeriesPrecisionWarning, stacklevel=2)
+        drain = drain_rate * t
+        decay = np.exp(exponent * t) / n_sq
+        modes = amp * (cosines @ (leak_cosines * decay))
+        if as_printed:
+            startup = startup_amp * (cosines @ (np.exp(odd_exponent * t) / odd_sq))
+            row[:] = steady - drain + startup - static + modes - flipped
+        else:
+            row[:] = steady - drain - static + modes
+    return field
 
 
 def pressure_profile(spec: PipelineSpec, scenario: LeakScenario,
                      cfg: SeriesConfig, xs: np.ndarray, t: float) -> np.ndarray:
     """Transient pressure at positions xs (array, m) and time t (s)."""
-    xs = np.asarray(xs, dtype=float)
-    if xs.size and (xs.min() < 0 or xs.max() > spec.length):
-        raise ValueError("positions outside [0, length]")
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    scenario.check_against(spec)
-
-    steady = spec.p_inlet_0 - spec.two_a * spec.g0 * xs
-    if t < early_time_floor(spec):
-        if t > 0:
-            warnings.warn(
-                f"t = {t:.6g} s below the series validity floor "
-                f"{early_time_floor(spec):.6g} s; returning the t=0 profile",
-                SeriesPrecisionWarning,
-                stacklevel=2,
-            )
-        return steady
-
-    tail = series_tail(spec, scenario, cfg.n_max, t)
-    if tail > cfg.tail_tol:
-        warnings.warn(
-            f"series tail {tail:.3g} Pa exceeds tail_tol {cfg.tail_tol:.3g} Pa "
-            f"at t = {t:.6g} s with n_max = {cfg.n_max}",
-            SeriesPrecisionWarning,
-            stacklevel=2,
-        )
-
-    L, g = spec.length, scenario.g_leak
-    drain = (spec.sound_speed**2 * g / L) * t
-    amp = 2.0 * spec.two_a * L * g / PI_SQ
-    modes = amp * _mode_sum(spec, scenario, cfg.n_max, xs, t)
-
-    if cfg.variant is Variant.RECONCILED:
-        kernel = np.array([neumann_kernel(float(x), scenario.ell2, L) for x in xs])
-        return steady - drain - spec.two_a * g * kernel + modes
-
-    # AS_PRINTED: one-sided kernel, start-up series, downstream sign flipped.
-    ell2 = scenario.ell2
-    kernel_left = (xs * xs + ell2 * ell2) / (2.0 * L) + L / 3.0 - ell2
-    downstream = np.where(xs > ell2, xs - ell2, 0.0)
-    return (steady - drain + _startup_sum(spec, cfg.n_max, xs, t)
-            - spec.two_a * g * kernel_left + modes
-            - spec.two_a * g * downstream)
+    return pressure_field(spec, scenario, cfg, xs, [t])[0]
 
 
 def transient_pressure(spec: PipelineSpec, scenario: LeakScenario,

@@ -30,7 +30,7 @@ from .model import (
     LeakScenario,
     PipelineSpec,
     SeriesConfig,
-    pressure_profile,
+    pressure_field,
 )
 
 
@@ -142,15 +142,14 @@ def compare_with_series(spec: PipelineSpec, scenario: LeakScenario, grid: FdGrid
                 field.x[-1] + field.x[0], spec.length, rel_tol=1e-9):
             raise ValueError("supplied field does not match the requested domain")
 
+    snapshots = [(i, t) for i, t in enumerate(field.times) if t != 0.0]
+    if not snapshots:
+        raise ValueError("no positive output times to compare")
+    series_field = pressure_field(spec, scenario, cfg, field.x, [t for _, t in snapshots])
     per_time = []
     max_abs = max_rel = 0.0
     worst_t = worst_x = 0.0
-    inlet_offset = outlet_offset = 0.0
-    first_t = None
-    for i, t in enumerate(field.times):
-        if t == 0.0:
-            continue
-        series = pressure_profile(spec, scenario, cfg, field.x, t)
+    for (i, t), series in zip(snapshots, series_field):
         diff = series - field.pressures[i]
         rel = np.abs(diff) / np.abs(series)
         j = int(np.argmax(np.abs(diff)))
@@ -159,15 +158,11 @@ def compare_with_series(spec: PipelineSpec, scenario: LeakScenario, grid: FdGrid
             max_abs = float(abs(diff[j]))
             worst_t, worst_x = t, float(field.x[j])
         max_rel = max(max_rel, float(rel.max()))
-        if first_t is None:
-            first_t = t
-            inlet_offset = float(diff[0])
-            outlet_offset = float(diff[-1])
-    if first_t is None:
-        raise ValueError("no positive output times to compare")
+    i0, first_t = snapshots[0]
+    first_diff = series_field[0] - field.pressures[i0]
     return OracleReport(max_abs=max_abs, max_rel=max_rel, worst_t=worst_t,
                         worst_x=worst_x, tolerance=tolerance,
                         passed=max_rel <= tolerance, first_t=first_t,
-                        inlet_offset_first=inlet_offset,
-                        outlet_offset_first=outlet_offset,
+                        inlet_offset_first=float(first_diff[0]),
+                        outlet_offset_first=float(first_diff[-1]),
                         per_time=tuple(per_time))

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from leakline.model import (
     inlet_pressure,
     neumann_kernel,
     outlet_pressure,
+    pressure_field,
     pressure_profile,
     series_tail,
     steady_pressure,
@@ -166,6 +168,73 @@ class TestTransientPressure:
             transient_pressure(PIPELINE_A, leak_a(), CFG, -1.0, 100.0)
         with pytest.raises(ValueError):
             transient_pressure(PIPELINE_A, leak_a(), CFG, 0.0, -1.0)
+
+
+def reference_profile(spec, leak, cfg, xs, t):
+    """The reconciled series at one time, term by term in the operation order
+    the evaluator must keep; the reference it is compared with bit for bit."""
+    xs = np.asarray(xs, dtype=float)
+    steady = spec.p_inlet_0 - spec.two_a * spec.g0 * xs
+    if t < early_time_floor(spec):
+        return steady
+    L, g, xi = spec.length, leak.g_leak, leak.ell2
+    n = np.arange(1, cfg.n_max + 1, dtype=float)
+    decay = np.exp(-n * n * decay_rate(spec) * t) / (n * n)
+    mode_sum = np.cos(np.pi * np.outer(xs, n) / L) @ (np.cos(np.pi * n * xi / L) * decay)
+    modes = 2.0 * spec.two_a * L * g / math.pi**2 * mode_sum
+    kernel = np.array([(x * x + xi * xi) / (2.0 * L) + L / 3.0 - max(x, xi) for x in xs])
+    drain = (spec.sound_speed**2 * g / L) * t
+    return steady - drain - spec.two_a * g * kernel + modes
+
+
+class TestPressureField:
+    @given(spec=st.sampled_from([PIPELINE_A, PIPELINE_B]),
+           variant=st.sampled_from(list(Variant)),
+           theta=st.floats(0.01, 0.99),
+           fracs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40),
+           later=st.lists(st.floats(1.0, 3000.0), max_size=6),
+           data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_rows_equal_single_time_evaluation(self, spec, variant, theta, fracs, later, data):
+        cfg = SeriesConfig(variant=variant)
+        leak = LeakScenario(ell2=theta * spec.length, g_leak=spec.g0)
+        xs = np.array(fracs) * spec.length
+        times = data.draw(st.permutations([0.0, 0.5 * early_time_floor(spec)] + later))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SeriesPrecisionWarning)
+            field = pressure_field(spec, leak, cfg, xs, times)
+            assert field.shape == (len(times), len(xs))
+            for row, t in zip(field, times):
+                assert np.array_equal(row, pressure_profile(spec, leak, cfg, xs, t))
+                if variant is Variant.RECONCILED:
+                    assert np.array_equal(row, reference_profile(spec, leak, cfg, xs, t))
+
+    def test_one_warning_per_affected_row(self):
+        floor = early_time_floor(PIPELINE_A)
+        rough = SeriesConfig(n_max=4, tail_tol=1.0)
+        xs = np.linspace(0.0, PIPELINE_A.length, 7)
+        # two early rows, two rough-tail rows (the same t twice) and two quiet ones
+        times = [0.5 * floor, 100.0, 0.0, 0.25 * floor, 100.0, 900.0]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            field = pressure_field(PIPELINE_A, leak_a(), rough, xs, times)
+        messages = [str(w.message) for w in caught
+                    if issubclass(w.category, SeriesPrecisionWarning)]
+        assert len(messages) == len(caught) == 4
+        assert sum("validity floor" in m for m in messages) == 2
+        assert sum("tail" in m and "t = 100 s" in m for m in messages) == 2
+        steady = np.array([steady_pressure(PIPELINE_A, float(x)) for x in xs])
+        for i in (0, 2, 3):
+            assert np.array_equal(field[i], steady)
+
+    def test_negative_time_rejected(self):
+        with pytest.raises(ValueError, match="t must be >= 0"):
+            pressure_field(PIPELINE_A, leak_a(), CFG, [0.0, 5e4], [100.0, -1.0, 300.0])
+
+    @pytest.mark.parametrize("bad_x", [-1.0, 10e4 + 1.0])
+    def test_out_of_range_positions_rejected(self, bad_x):
+        with pytest.raises(ValueError, match="positions outside"):
+            pressure_field(PIPELINE_A, leak_a(), CFG, [0.0, bad_x], [100.0])
 
 
 class TestInvariants:
