@@ -30,7 +30,6 @@ from .isolation import (
     ValveLayout,
     bounding_valves,
     build_isolation_plan,
-    normal_regime_state,
 )
 from .model import (
     PIPELINE_A,
@@ -68,7 +67,7 @@ __all__ = [
     "Verdict", "admissible_band", "classify_regime", "estimate_position", "fixation_time",
     "fixation_time_empirical", "min_information_latency", "position_gain", "pressure_ratio",
     "simulate_trajectory", "theta_from_ratio", "ConnectorValve", "IsolationPlan",
-    "ValveLayout", "bounding_valves", "build_isolation_plan", "normal_regime_state",
+    "ValveLayout", "bounding_valves", "build_isolation_plan",
     "PIPELINE_A", "PIPELINE_B", "LeakScenario", "PipelineSpec", "SeriesConfig",
     "SeriesPrecisionWarning", "Variant", "decay_rate", "inlet_pressure", "neumann_kernel",
     "outlet_pressure", "pressure_field", "pressure_profile", "steady_pressure",

@@ -7,6 +7,7 @@ insufficient signal, 3 oracle tolerance breach.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -36,6 +37,14 @@ class SystemExit2(Exception):
 def _fmt_table(v: float) -> str:
     """Render Pa in units of 1e4 Pa with two decimals, as gauges are read."""
     return f"{v / 1e4:.2f}"
+
+
+def _require_positive(flag: str, value: float) -> None:
+    """Reject a flag value that is not a finite number > 0."""
+    if not value > 0:
+        raise ValueError(f"{flag} must be > 0, got {value:g}")
+    if value == math.inf:
+        raise ValueError(f"{flag} must be finite, got {value:g}")
 
 
 def _series_override(args, base: SeriesConfig) -> SeriesConfig:
@@ -91,6 +100,7 @@ def _trajectory_for(sc: Scenario, args) -> detection.PressureTrajectory:
 
 
 def cmd_locate(args) -> int:
+    _require_positive("--eps-meas", args.eps_meas)
     sc = load_scenario(args.scenario)
     traj = _trajectory_for(sc, args)
     est = detection.estimate_position(sc.spec, traj, args.at, eps_meas=args.eps_meas)
@@ -121,6 +131,7 @@ def cmd_locate(args) -> int:
 
 
 def cmd_curves(args) -> int:
+    _require_positive("--eps-meas", args.eps_meas)
     lines = ["scenario_id,t,p"]
     for path in args.scenarios:
         sc = load_scenario(path)
@@ -136,8 +147,9 @@ def cmd_curves(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.step is not None and not args.step > 0:
-        raise ValueError(f"--step must be > 0, got {args.step:g}")
+    if args.step is not None:
+        _require_positive("--step", args.step)
+    _require_positive("--tol", args.tol)
     sc = load_scenario(args.scenario)
     leak = sc.require_leak()
     cfg = _series_override(args, sc.series)
@@ -155,6 +167,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_monitor(args) -> int:
+    _require_positive("--eps-meas", args.eps_meas)
+    if args.step is not None:
+        _require_positive("--step", args.step)
     sc = load_scenario(args.scenario)
     step = args.step if args.step is not None else (
         sc.run.step if sc.run is not None else 60.0)

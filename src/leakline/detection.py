@@ -31,6 +31,7 @@ import numpy as np
 
 from .model import (
     DEFAULT_SERIES,
+    PI_SQ,
     LeakScenario,
     PipelineSpec,
     SeriesConfig,
@@ -38,8 +39,6 @@ from .model import (
     pressure_field,
     pressure_profile,
 )
-
-PI_SQ = math.pi**2
 
 # Deviations below this floor (Pa) are treated as unmeasurable; matches a
 # gauge resolution of 0.01e4 Pa.
@@ -240,12 +239,12 @@ def admissible_band(spec: PipelineSpec, t: float) -> RegimeBand | None:
     return RegimeBand(lo=(g - 0.5) / (g + 0.5), hi=(g + 0.5) / (g - 0.5), t=t)
 
 
-def first_band_time(spec: PipelineSpec, resolution: float = 1e-3) -> float:
-    """Earliest time at which the admissible band exists (bisection scan)."""
+def first_band_time(spec: PipelineSpec) -> float:
+    """Earliest time at which the admissible band exists (bisection to 1e-3 s)."""
     lo, hi = 0.0, 1.0
     while position_gain(spec, hi) <= 0.5:
         hi *= 2.0
-    while hi - lo > resolution:
+    while hi - lo > 1e-3:
         mid = 0.5 * (lo + hi)
         if position_gain(spec, mid) <= 0.5:
             lo = mid
@@ -406,16 +405,14 @@ class EmpiricalFixation:
 
 
 def fixation_time_empirical(traj: PressureTrajectory,
-                            eps_meas: float = DEFAULT_EPS_MEAS,
-                            window: float | None = None) -> float | None:
+                            eps_meas: float = DEFAULT_EPS_MEAS) -> float | None:
     """Empirical rule (see EmpiricalFixation) over the whole trajectory.
 
-    Falls back to the last defined sample when no point is fixed, and
-    returns None when the ratio is never defined.  window defaults to the
-    trajectory's median sampling step.
+    The window is the trajectory's median sampling step.  Falls back to the
+    last defined sample when no point is fixed, and returns None when the
+    ratio is never defined.
     """
-    if window is None:
-        window = traj.median_step() if len(traj.samples) > 1 else 0.0
+    window = traj.median_step() if len(traj.samples) > 1 else 0.0
     rule = EmpiricalFixation(window)
     p1, p2 = traj.baseline
     last = None

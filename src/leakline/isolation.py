@@ -30,22 +30,17 @@ class ValveLayout:
     def __post_init__(self):
         positions = tuple(float(p) for p in self.line_valves)
         object.__setattr__(self, "line_valves", positions)
-        connectors = tuple(
-            c if isinstance(c, ConnectorValve) else ConnectorValve(float(c[0]), str(c[1]))
-            for c in self.connector_valves
-        )
-        object.__setattr__(self, "connector_valves", connectors)
         if len(positions) < 2:
             raise ValueError("need at least the two end valves")
-        if any(b <= a for a, b in zip(positions, positions[1:])):
+        if not all(b > a for a, b in zip(positions, positions[1:])):
             raise ValueError("line valve positions must be strictly increasing")
         if positions[0] != 0.0:
             raise ValueError("first line valve must sit at 0")
         length = positions[-1]
-        for c in connectors:
+        for c in self.connector_valves:
             if not 0 <= c.position <= length:
                 raise ValueError(f"connector {c.valve_id} at {c.position:.6g} outside [0, {length:.6g}]")
-        ids = [c.valve_id for c in connectors]
+        ids = [c.valve_id for c in self.connector_valves]
         if len(set(ids)) != len(ids):
             raise ValueError("connector ids must be unique")
 
@@ -107,37 +102,3 @@ def build_isolation_plan(layout: ValveLayout, ell2_est: float) -> IsolationPlan:
                          isolated_span=(l1, l3),
                          partial=stranded or not to_open)
 
-
-def _line_key(position: float) -> str:
-    return f"line@{position:g}"
-
-
-def _connector_key(valve_id: str) -> str:
-    return f"connector:{valve_id}"
-
-
-def normal_regime_state(layout: ValveLayout) -> dict[str, str]:
-    """Stationary baseline: all line valves open, all connectors closed."""
-    state = {_line_key(p): "open" for p in layout.line_valves}
-    state.update({_connector_key(c.valve_id): "closed" for c in layout.connector_valves})
-    return state
-
-
-def apply_plan(state: dict[str, str], plan: IsolationPlan) -> dict[str, str]:
-    """Return a new state map with the plan's actions applied."""
-    out = dict(state)
-    for p in plan.close:
-        out[_line_key(p)] = "closed"
-    for valve_id in plan.open:
-        out[_connector_key(valve_id)] = "open"
-    return out
-
-
-def revert_plan(state: dict[str, str], plan: IsolationPlan) -> dict[str, str]:
-    """Undo a plan's actions (line valves reopen, connectors reclose)."""
-    out = dict(state)
-    for p in plan.close:
-        out[_line_key(p)] = "open"
-    for valve_id in plan.open:
-        out[_connector_key(valve_id)] = "closed"
-    return out

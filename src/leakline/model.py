@@ -10,6 +10,8 @@ expansion is evaluated here with controlled truncation.
 
 pressure_field is the one evaluator, over a whole (times x xs) grid per call;
 pressure_profile, transient_pressure, inlet_pressure and outlet_pressure are views of it.
+steady_pressure is the one home of the linear pre-event profile, which the
+series and the finite-difference oracle both add their deviation to.
 
 All pressures are plain floats in Pa, lengths in m, times in s.
 """
@@ -69,13 +71,13 @@ class PipelineSpec:
     def __post_init__(self):
         if not self.p_inlet_0 > self.p_outlet_0 > 0:
             raise ValueError("end pressures must satisfy p_inlet_0 > p_outlet_0 > 0")
-        if self.length <= 0:
+        if not self.length > 0:
             raise ValueError("length must be > 0")
-        if self.g0 < 0:
+        if not self.g0 >= 0:
             raise ValueError("g0 must be >= 0")
-        if self.sound_speed <= 0:
+        if not self.sound_speed > 0:
             raise ValueError("sound_speed must be > 0")
-        if self.two_a <= 0:
+        if not self.two_a > 0:
             raise ValueError("two_a must be > 0")
         drop = self.two_a * self.g0 * self.length
         if abs((self.p_inlet_0 - drop) - self.p_outlet_0) > 1e-6 * self.p_inlet_0:
@@ -98,9 +100,9 @@ class LeakScenario:
     g_leak: float
 
     def __post_init__(self):
-        if self.ell2 <= 0:
+        if not self.ell2 > 0:
             raise ValueError("ell2 must be > 0")
-        if self.g_leak < 0:
+        if not self.g_leak >= 0:
             raise ValueError("g_leak must be >= 0")
 
     def check_against(self, spec: PipelineSpec) -> None:
@@ -108,11 +110,6 @@ class LeakScenario:
             raise ValueError(
                 f"ell2 = {self.ell2:.6g} m must lie strictly inside (0, {spec.length:.6g})"
             )
-
-    @classmethod
-    def default_flux(cls, spec: PipelineSpec, ell2: float) -> "LeakScenario":
-        """Leak with flux equal to the steady throughput g0."""
-        return cls(ell2=ell2, g_leak=spec.g0)
 
 
 @dataclass(frozen=True)
@@ -124,9 +121,9 @@ class SeriesConfig:
     variant: Variant = Variant.RECONCILED
 
     def __post_init__(self):
-        if self.n_max < 1:
+        if not self.n_max >= 1:
             raise ValueError("n_max must be >= 1")
-        if self.tail_tol <= 0:
+        if not self.tail_tol > 0:
             raise ValueError("tail_tol must be > 0")
         # accept the plain string spelling as well
         if not isinstance(self.variant, Variant):
@@ -149,10 +146,11 @@ def early_time_floor(spec: PipelineSpec) -> float:
     return EARLY_TIME_FRACTION / decay_rate(spec)
 
 
-def steady_pressure(spec: PipelineSpec, x: float) -> float:
-    """Pre-event linear profile p_inlet_0 - two_a*g0*x."""
-    if not 0 <= x <= spec.length:
-        raise ValueError(f"x = {x:.6g} outside [0, {spec.length:.6g}]")
+def steady_pressure(spec: PipelineSpec, x):
+    """Pre-event linear profile p_inlet_0 - two_a*g0*x, elementwise over an array x."""
+    x = np.asarray(x, dtype=float)
+    if not np.all((x >= 0) & (x <= spec.length)):
+        raise ValueError(f"positions outside [0, {spec.length:.6g}]")
     return spec.p_inlet_0 - spec.two_a * spec.g0 * x
 
 
@@ -194,15 +192,13 @@ def pressure_field(spec: PipelineSpec, scenario: LeakScenario, cfg: SeriesConfig
     (t > 0), or whose truncation tail exceeds cfg.tail_tol, warns once.
     """
     xs = np.asarray(xs, dtype=float)
+    steady = steady_pressure(spec, xs)
     times = np.asarray(times, dtype=float).tolist()
-    if xs.size and (xs.min() < 0 or xs.max() > spec.length):
-        raise ValueError("positions outside [0, length]")
     if any(t < 0 for t in times):
         raise ValueError("t must be >= 0")
     scenario.check_against(spec)
 
     L, g, ell2 = spec.length, scenario.g_leak, scenario.ell2
-    steady = spec.p_inlet_0 - spec.two_a * spec.g0 * xs
     rate, floor = decay_rate(spec), early_time_floor(spec)
     n = np.arange(1, cfg.n_max + 1, dtype=float)
     # one fixed operation order, -n * n * rate * t and steady - drain - static

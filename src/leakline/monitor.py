@@ -72,9 +72,9 @@ class MonitorConfig:
     fixation_rule: FixationRule = FixationRule.GRID
 
     def __post_init__(self):
-        if self.sampling_step <= 0:
+        if not self.sampling_step > 0:
             raise ValueError("sampling_step must be > 0")
-        if self.eps_meas <= 0:
+        if not self.eps_meas > 0:
             raise ValueError("eps_meas must be > 0")
         if not isinstance(self.fixation_rule, FixationRule):
             object.__setattr__(self, "fixation_rule", FixationRule(self.fixation_rule))

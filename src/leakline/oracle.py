@@ -17,11 +17,11 @@ DCT-II modes v_k[i] = cos(pi k (i + 1/2) / nx) with eigenvalues
 The sum over modes is one FFT of length 2 nx per output time: there is no time
 step, no stability limit and no nx-by-nx matrix.  The only error left is the
 spatial one, first order in dx through the sink's place in its cell.
+Pressures are the deviation added to model.steady_pressure at the cell centres.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +31,7 @@ from .model import (
     PipelineSpec,
     SeriesConfig,
     pressure_field,
+    steady_pressure,
 )
 
 
@@ -42,9 +43,9 @@ class FdGrid:
     t_end: float
 
     def __post_init__(self):
-        if self.nx < 3:
+        if not self.nx >= 3:
             raise ValueError("nx must be >= 3")
-        if self.t_end <= 0:
+        if not self.t_end > 0:
             raise ValueError("t_end must be > 0")
 
 
@@ -58,19 +59,13 @@ class FdField:
     spec: PipelineSpec
 
     def deviations(self) -> np.ndarray:
-        steady = self.spec.p_inlet_0 - self.spec.two_a * self.spec.g0 * self.x
-        return self.pressures - steady
-
-    def mean_deviation(self, i: int) -> float:
-        return float(self.deviations()[i].mean())
+        return self.pressures - steady_pressure(self.spec, self.x)
 
 
 def fd_solve(spec: PipelineSpec, scenario: LeakScenario, grid: FdGrid,
-             output_times: list[float] | None = None) -> FdField:
+             output_times: list[float]) -> FdField:
     """Evaluate the semi-discrete deviation field at the requested times."""
     scenario.check_against(spec)
-    if output_times is None:
-        output_times = [grid.t_end]
     times = sorted(float(t) for t in output_times)
     if times and times[-1] > grid.t_end + 1e-9:
         raise ValueError("output times exceed the grid horizon")
@@ -95,8 +90,8 @@ def fd_solve(spec: PipelineSpec, scenario: LeakScenario, grid: FdGrid,
     # sum_k coeff_k cos(pi k (i + 1/2) / nx) is the real part of a 2 nx FFT
     u = np.fft.fft(coeff * np.exp(-0.5j * np.pi * k / nx), n=2 * nx).real[:, :nx]
 
-    steady = spec.p_inlet_0 - spec.two_a * spec.g0 * x
-    return FdField(times=tuple(out_times), x=x, pressures=steady + u, spec=spec)
+    return FdField(times=tuple(out_times), x=x, pressures=steady_pressure(spec, x) + u,
+                   spec=spec)
 
 
 @dataclass(frozen=True)
@@ -127,21 +122,13 @@ class OracleReport:
 
 
 def compare_with_series(spec: PipelineSpec, scenario: LeakScenario, grid: FdGrid,
-                        cfg: SeriesConfig, output_times: list[float] | None = None,
-                        tolerance: float = 1e-3,
-                        field: FdField | None = None) -> OracleReport:
+                        cfg: SeriesConfig, output_times: list[float],
+                        tolerance: float = 1e-3) -> OracleReport:
     """Compare the series evaluation against the FD oracle on the same grid.
 
-    Relative error is pointwise |series - fd| / |series pressure|.  When an
-    existing field is supplied its domain must match the spec.
+    Relative error is pointwise |series - fd| / |series pressure|.
     """
-    if field is None:
-        field = fd_solve(spec, scenario, grid, output_times)
-    else:
-        if field.x.shape[0] != grid.nx or not math.isclose(
-                field.x[-1] + field.x[0], spec.length, rel_tol=1e-9):
-            raise ValueError("supplied field does not match the requested domain")
-
+    field = fd_solve(spec, scenario, grid, output_times)
     snapshots = [(i, t) for i, t in enumerate(field.times) if t != 0.0]
     if not snapshots:
         raise ValueError("no positive output times to compare")

@@ -35,6 +35,7 @@ its section.key path.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -57,12 +58,12 @@ class RunWindow:
     step: float
 
     def __post_init__(self):
-        if self.step <= 0:
+        if not self.step > 0:
             raise ValueError("step must be > 0")
-        if self.t_start < 0:
+        if not self.t_start >= 0:
             raise ValueError("t_start must be >= 0")
-        if self.t_end < self.t_start:
-            raise ValueError("t_end must be >= t_start")
+        if not self.t_start <= self.t_end < math.inf:
+            raise ValueError("t_end must be finite and >= t_start")
 
     def times(self) -> list[float]:
         out = []

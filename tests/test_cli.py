@@ -323,6 +323,23 @@ class TestUsageErrors:
         assert code == EXIT_VALIDATION
         assert out == "" and err.startswith("error: --step must be > 0")
 
+    @pytest.mark.parametrize("value,message", [
+        ("-5", "must be > 0, got -5"), ("0", "must be > 0, got 0"),
+        ("nan", "must be > 0, got nan"), ("inf", "must be finite, got inf"),
+    ])
+    @pytest.mark.parametrize("command,flag", [
+        ("locate", "--eps-meas"), ("curves", "--eps-meas"), ("monitor", "--eps-meas"),
+        ("monitor", "--step"), ("verify", "--step"), ("verify", "--tol"),
+    ])
+    def test_bad_positive_flag_exit_one(self, capsys, scenario_path, replay_path,
+                                        command, flag, value, message):
+        extra = {"locate": ["--at", "300"], "curves": [], "verify": ["--nx", "100"],
+                 "monitor": ["--stream", replay_path("pipeline_b_start_leak")]}[command]
+        code, out, err = run(capsys, command, scenario_path("pipeline_b_start"), *extra,
+                             flag, value)
+        assert code == EXIT_VALIDATION
+        assert out == "" and err == f"error: {flag} {message}\n"
+
     @pytest.mark.parametrize("points", ["0", "-3"])
     def test_field_points_below_one_exit_one(self, capsys, scenario_path, tmp_path, points):
         field = tmp_path / "field.csv"

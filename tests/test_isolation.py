@@ -7,11 +7,8 @@ from hypothesis import strategies as st
 from leakline.isolation import (
     ConnectorValve,
     ValveLayout,
-    apply_plan,
     bounding_valves,
     build_isolation_plan,
-    normal_regime_state,
-    revert_plan,
 )
 
 LAYOUT_A = ValveLayout(
@@ -28,6 +25,10 @@ class TestLayoutValidation:
     def test_positions_must_increase(self):
         with pytest.raises(ValueError, match="strictly increasing"):
             ValveLayout(line_valves=(0.0, 2e4, 1e4))
+
+    def test_nan_position_rejected(self):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            ValveLayout(line_valves=(0.0, float("nan"), 1e4))
 
     def test_zero_must_be_present(self):
         with pytest.raises(ValueError, match="must sit at 0"):
@@ -104,21 +105,3 @@ class TestIsolationPlan:
             l1, l3 = plan.isolated_span
             assert l1 <= true_pos <= l3
 
-
-class TestValveState:
-    def test_baseline_state(self):
-        state = normal_regime_state(LAYOUT_A)
-        assert all(v == "open" for k, v in state.items() if k.startswith("line@"))
-        assert all(v == "closed" for k, v in state.items() if k.startswith("connector:"))
-
-    def test_diff_touches_only_plan_valves(self):
-        base = normal_regime_state(LAYOUT_A)
-        plan = build_isolation_plan(LAYOUT_A, 0.55e4)
-        after = apply_plan(base, plan)
-        changed = {k for k in base if base[k] != after[k]}
-        assert changed == {"line@0", "line@10000", "connector:c1"}
-
-    def test_apply_then_revert_restores_baseline(self):
-        base = normal_regime_state(LAYOUT_A)
-        plan = build_isolation_plan(LAYOUT_A, 5.3e4)
-        assert revert_plan(apply_plan(base, plan), plan) == base

@@ -52,6 +52,7 @@ class TestSpecValidation:
 
     @pytest.mark.parametrize("field,value", [
         ("length", -1.0), ("sound_speed", 0.0), ("two_a", 0.0), ("g0", -1.0),
+        ("length", math.nan), ("sound_speed", math.nan), ("two_a", math.nan), ("g0", math.nan),
     ])
     def test_positivity(self, field, value):
         kwargs = dict(p_inlet_0=55e4, p_outlet_0=25e4, length=10e4,
@@ -64,11 +65,23 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="strictly inside"):
             LeakScenario(ell2=11e4, g_leak=30.0).check_against(PIPELINE_A)
 
+    @pytest.mark.parametrize("field", ["ell2", "g_leak"])
+    def test_leak_nan_rejected(self, field):
+        kwargs = dict(ell2=0.5e4, g_leak=30.0)
+        kwargs[field] = math.nan
+        with pytest.raises(ValueError):
+            LeakScenario(**kwargs)
+
     def test_series_config_bounds(self):
         with pytest.raises(ValueError):
             SeriesConfig(n_max=0)
         with pytest.raises(ValueError):
             SeriesConfig(tail_tol=0.0)
+
+    @pytest.mark.parametrize("field", ["n_max", "tail_tol"])
+    def test_series_config_nan_rejected(self, field):
+        with pytest.raises(ValueError):
+            SeriesConfig(**{field: math.nan})
 
 
 class TestDecayRate:
@@ -97,6 +110,17 @@ class TestSteadyPressure:
             steady_pressure(PIPELINE_A, -1.0)
         with pytest.raises(ValueError):
             steady_pressure(PIPELINE_A, 10e4 + 1)
+
+    def test_array_is_elementwise(self):
+        xs = np.linspace(0.0, PIPELINE_A.length, 11)
+        profile = steady_pressure(PIPELINE_A, xs)
+        assert profile.shape == xs.shape
+        assert np.array_equal(profile, [steady_pressure(PIPELINE_A, float(x)) for x in xs])
+
+    @pytest.mark.parametrize("bad_x", [-1.0, 10e4 + 1.0, math.nan])
+    def test_out_of_range_array_rejected(self, bad_x):
+        with pytest.raises(ValueError, match="positions outside"):
+            steady_pressure(PIPELINE_A, np.array([0.0, 5e4, bad_x]))
 
 
 class TestNeumannKernel:
@@ -223,7 +247,7 @@ class TestPressureField:
         assert len(messages) == len(caught) == 4
         assert sum("validity floor" in m for m in messages) == 2
         assert sum("tail" in m and "t = 100 s" in m for m in messages) == 2
-        steady = np.array([steady_pressure(PIPELINE_A, float(x)) for x in xs])
+        steady = steady_pressure(PIPELINE_A, xs)
         for i in (0, 2, 3):
             assert np.array_equal(field[i], steady)
 
@@ -243,8 +267,7 @@ class TestInvariants:
         for spec, leak, t in ((PIPELINE_A, leak_a(), 300.0),
                               (PIPELINE_B, leak_b(1.5e4), 300.0)):
             xs = np.linspace(0.0, spec.length, 4001)
-            dev = pressure_profile(spec, leak, CFG, xs, t) - \
-                np.array([steady_pressure(spec, float(x)) for x in xs])
+            dev = pressure_profile(spec, leak, CFG, xs, t) - steady_pressure(spec, xs)
             mean = np.trapezoid(dev, xs) / spec.length
             expected = -(spec.sound_speed**2 * leak.g_leak / spec.length) * t
             assert mean == pytest.approx(expected, rel=0.005)

@@ -43,6 +43,14 @@ def kinds(events):
     return [e.kind for e in events]
 
 
+class TestConfigValidation:
+    @pytest.mark.parametrize("field", ["sampling_step", "eps_meas"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
+    def test_non_positive_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be > 0"):
+            config(**{field: value})
+
+
 class TestLeakReplay:
     def test_bundled_leak_stream(self, replay_path):
         stream = list(read_pressure_stream(replay_path("pipeline_b_start_leak")))
@@ -144,7 +152,7 @@ class TestEmpiricalRule:
         ratios = {60.0: 1.5, 120.0: 3.0, 300.0: 3.0, 360.0: 2.5, 420.0: 2.0}
         rows = [(t, 14e4 - 1000.0 * p, 11e4 - 1000.0) for t, p in ratios.items()]
         traj = PressureTrajectory(samples=tuple(rows), baseline=(14e4, 11e4))
-        assert fixation_time_empirical(traj, eps_meas=100.0, window=60.0) == 300.0
+        assert fixation_time_empirical(traj, eps_meas=100.0) == 300.0
         events = run_monitor(config(fixation_rule=FixationRule.EMPIRICAL),
                              quiet_prefix() + rows)
         fixation = next(e for e in events if e.kind is EventKind.FIXATION)

@@ -9,6 +9,7 @@ from leakline.model import (
     LeakScenario,
     SeriesConfig,
     Variant,
+    steady_pressure,
 )
 from leakline.oracle import (
     FdGrid,
@@ -35,7 +36,8 @@ def explicit_euler(spec, scenario, nx, t_end, dt):
 
 
 class TestGrid:
-    @pytest.mark.parametrize("nx,t_end", [(2, 100.0), (200, 0.0), (200, -1.0)])
+    @pytest.mark.parametrize("nx,t_end", [(2, 100.0), (200, 0.0), (200, -1.0),
+                                          (200, float("nan"))])
     def test_bad_grid_rejected(self, nx, t_end):
         with pytest.raises(ValueError):
             FdGrid(nx, t_end)
@@ -51,9 +53,8 @@ class TestFdSolve:
     def test_initial_slice_is_steady(self):
         field = fd_solve(PIPELINE_A, LEAK_A, FdGrid(200, 100.0),
                          [0.0, 100.0])
-        steady = PIPELINE_A.p_inlet_0 - PIPELINE_A.two_a * PIPELINE_A.g0 * field.x
         assert field.times[0] == 0.0
-        assert np.array_equal(field.pressures[0], steady)
+        assert np.array_equal(field.pressures[0], steady_pressure(PIPELINE_A, field.x))
 
     def test_inlet_drop_anchor(self):
         # inlet deviation after 100 s for the near-inlet rupture
@@ -65,7 +66,7 @@ class TestFdSolve:
         field = fd_solve(PIPELINE_A, LEAK_A, FdGrid(500, 300.0),
                          [300.0])
         expected = -(PIPELINE_A.sound_speed**2 * LEAK_A.g_leak / PIPELINE_A.length) * 300.0
-        assert field.mean_deviation(0) == pytest.approx(expected, rel=0.005)
+        assert field.deviations()[0].mean() == pytest.approx(expected, rel=0.005)
 
     @pytest.mark.parametrize("t", [10.0, 50.0, 300.0])
     def test_field_satisfies_stencil(self, t):
@@ -130,14 +131,6 @@ class TestCompare:
         # 0.5 * two_a * L * g0 at small times
         expected = 0.5 * PIPELINE_A.two_a * PIPELINE_A.length * PIPELINE_A.g0
         assert report.inlet_offset_first == pytest.approx(expected, rel=0.15)
-
-    def test_mismatched_field_rejected(self):
-        grid_a = FdGrid(300, 100.0)
-        field_b = fd_solve(PIPELINE_B, LeakScenario(ell2=1.5e4, g_leak=10.0),
-                           FdGrid(300, 100.0), [100.0])
-        with pytest.raises(ValueError, match="does not match"):
-            compare_with_series(PIPELINE_A, LEAK_A, grid_a, CFG,
-                                output_times=[100.0], field=field_b)
 
     def test_output_times_beyond_horizon_rejected(self):
         grid = FdGrid(200, 100.0)

@@ -109,6 +109,23 @@ class TestFieldErrors:
         with pytest.raises(ScenarioError, match=r"\[run\]"):
             load_scenario(write(tmp_path, text))
 
+    @pytest.mark.parametrize("old,new,where", [
+        ("length = 3e4", "length = nan", r"\[pipeline\]"),
+        ("g0 = 10", "g0 = nan", r"\[pipeline\]"),
+        ("c = 383.3", "c = nan", r"\[pipeline\]"),
+        ("two_a = 0.1", "two_a = nan", r"\[pipeline\]"),
+        ("ell2 = 0.5e4", "ell2 = 0.5e4\ng_leak = nan", r"\[leak\]"),
+        ("n_max = 32", "n_max = 32\ntail_tol = nan", r"\[series\]"),
+        ("line = 0, 1.5e4, 3e4", "line = 0, nan, 3e4", r"\[valves\]"),
+        ("t_start = 60", "t_start = nan", r"\[run\]"),
+        ("t_end = 600", "t_end = nan", r"\[run\]"),
+        ("t_end = 600", "t_end = inf", r"\[run\]"),
+        ("step = 60", "step = nan", r"\[run\]"),
+    ])
+    def test_non_finite_value_rejected(self, tmp_path, old, new, where):
+        with pytest.raises(ScenarioError, match=where):
+            load_scenario(write(tmp_path, VALID.replace(old, new)))
+
     def test_optional_sections_absent(self, tmp_path):
         minimal = "\n".join(VALID.splitlines()[:11])  # [pipeline] + [leak] only
         sc = load_scenario(write(tmp_path, minimal))

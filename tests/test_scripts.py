@@ -1,0 +1,44 @@
+"""The scripts under scripts/ run against the current library API."""
+
+from __future__ import annotations
+
+import importlib.util
+import os
+import subprocess
+import sys
+
+from conftest import REPLAY_DIR, REPO
+
+SCRIPTS = REPO / "scripts"
+
+
+def run_script(name, *args):
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    return subprocess.run([sys.executable, str(SCRIPTS / name), *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_make_replays_reproduces_bundled_streams(tmp_path, monkeypatch):
+    spec = importlib.util.spec_from_file_location("make_replays", SCRIPTS / "make_replays.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    monkeypatch.setattr(module, "OUT", tmp_path)
+    module.leak_replay()
+    module.flat_replay()
+    module.technological_ramp()
+    bundled = sorted(p.name for p in REPLAY_DIR.glob("*.csv"))
+    assert sorted(p.name for p in tmp_path.iterdir()) == bundled
+    for name in bundled:
+        assert (tmp_path / name).read_bytes() == (REPLAY_DIR / name).read_bytes()
+
+
+def test_oracle_study_runs():
+    result = run_script("oracle_study.py", "--levels", "50", "100")
+    assert result.returncode == 0, result.stderr
+    assert len(result.stdout.splitlines()) == 3
+
+
+def test_reproduce_tables_runs():
+    result = run_script("reproduce_tables.py")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.count("<- fixation") == 6
