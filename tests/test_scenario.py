@@ -126,6 +126,51 @@ class TestFieldErrors:
         with pytest.raises(ScenarioError, match=where):
             load_scenario(write(tmp_path, VALID.replace(old, new)))
 
+    # One mutation of VALID per row, with the full text the error must print.
+    @pytest.mark.parametrize("old,new,text", [
+        ("two_a = 0.1\n", "", "[pipeline].two_a: missing required key"),
+        ("[pipeline]", "[pipe]", "[pipeline]: missing required section"),
+        ("t_end = 600\n", "", "[run].t_end: missing required key"),
+        ("line = 0, 1.5e4, 3e4\n", "", "[valves].line: missing required key"),
+        ("ell2 = 0.5e4\n", "", "[leak].ell2: missing required key"),
+        ("ell2 = 0.5e4", "ell2 = five", "[leak].ell2: not a number: 'five'"),
+        ("n_max = 32", "n_max = 3.5", "[series].n_max: not an integer: '3.5'"),
+        ("n_max = 32", "n_max = 32\ntail_tol = tight",
+         "[series].tail_tol: not a number: 'tight'"),
+        ("variant = as_printed", "variant = wrong",
+         "[series].variant: must be one of ['reconciled', 'as_printed'], got 'wrong'"),
+        ("p2 = 11e4", "p2 = 12e4",
+         "[pipeline]: inconsistent steady profile: p_inlet_0 - two_a*g0*length = "
+         "110000 Pa but p_outlet_0 = 120000 Pa"),
+        ("line = 0, 1.5e4, 3e4", "line = 0, 1.5e4, 2.5e4",
+         "[valves].line: last valve at 25000 m must sit at the pipeline end 30000 m"),
+        ("line = 0, 1.5e4, 3e4", "line = 1e3, 1.5e4, 3e4",
+         "[valves]: first line valve must sit at 0"),
+        ("line = 0, 1.5e4, 3e4", "line = 0, x, 3e4",
+         "[valves].line: could not convert string to float: ' x'"),
+        ("connectors = c1:0.75e4, c2:2.25e4", "connectors = 0.75e4",
+         "[valves].connectors: expected id:position, got '0.75e4'"),
+        ("connectors = c1:0.75e4, c2:2.25e4", "connectors = c1:abc",
+         "[valves].connectors: bad connector position in 'c1:abc'"),
+        ("connectors = c1:0.75e4, c2:2.25e4", "connectors = c1:0.75e4, c1:2.25e4",
+         "[valves]: connector ids must be unique"),
+        ("connectors = c1:0.75e4, c2:2.25e4", "connectors = c1:4e4",
+         "[valves]: connector c1 at 40000 outside [0, 30000]"),
+        ("step = 60", "step = 0", "[run]: step must be > 0"),
+        ("length = 3e4", "length = nan", "[pipeline]: length must be > 0"),
+        ("t_end = 600", "t_end = inf", "[run]: t_end must be finite and >= t_start"),
+        ("t_end = 600", "t_end = 30", "[run]: t_end must be finite and >= t_start"),
+        ("ell2 = 0.5e4", "ell2 = 0.5e4\ng_leak = -1", "[leak]: g_leak must be >= 0"),
+        ("ell2 = 0.5e4", "ell2 = 4e4",
+         "[leak]: ell2 = 40000 m must lie strictly inside (0, 30000)"),
+        ("n_max = 32", "n_max = 0", "[series]: n_max must be >= 1"),
+    ])
+    def test_error_text(self, tmp_path, old, new, text):
+        assert old in VALID
+        with pytest.raises(ScenarioError) as info:
+            load_scenario(write(tmp_path, VALID.replace(old, new)))
+        assert str(info.value) == text
+
     def test_optional_sections_absent(self, tmp_path):
         minimal = "\n".join(VALID.splitlines()[:11])  # [pipeline] + [leak] only
         sc = load_scenario(write(tmp_path, minimal))
