@@ -99,50 +99,47 @@ class Scenario:
         return self.layout
 
 
-def _get_float(section, sec_name: str, key: str, *, required: bool = True,
-               default: float | None = None) -> float | None:
+def _number(section, sec_name: str, key: str, kind=float, default=None):
+    """section[key] converted by kind; default when absent, required if None.
+
+    A missing required key, or a value kind rejects, raises a ScenarioError at
+    [sec_name].key.  A kind other than float or int words its own ValueError.
+    """
+    where = f"[{sec_name}].{key}"
     if key not in section:
-        if required:
-            raise ScenarioError(f"[{sec_name}].{key}", "missing required key")
+        if default is None:
+            raise ScenarioError(where, "missing required key")
         return default
     raw = section[key]
     try:
-        return float(raw)
-    except ValueError:
-        raise ScenarioError(f"[{sec_name}].{key}", f"not a number: {raw!r}") from None
+        return kind(raw)
+    except ValueError as exc:
+        noun = {float: "a number", int: "an integer"}.get(kind)
+        raise ScenarioError(where, f"not {noun}: {raw!r}" if noun else str(exc)) from None
 
 
-def _get_int(section, sec_name: str, key: str, default: int) -> int:
-    if key not in section:
-        return default
-    raw = section[key]
+def _build(where: str, make, *args):
+    """make(*args), with a ValueError it raises reported at where."""
     try:
-        return int(raw)
-    except ValueError:
-        raise ScenarioError(f"[{sec_name}].{key}", f"not an integer: {raw!r}") from None
-
-
-def _parse_positions(raw: str, where: str) -> list[float]:
-    try:
-        return [float(tok) for tok in raw.split(",") if tok.strip()]
+        return make(*args)
     except ValueError as exc:
         raise ScenarioError(where, str(exc)) from None
 
 
-def _parse_connectors(raw: str, where: str) -> list[ConnectorValve]:
+def _connectors(raw: str) -> tuple[ConnectorValve, ...]:
     out = []
     for tok in raw.split(","):
         tok = tok.strip()
         if not tok:
             continue
         if ":" not in tok:
-            raise ScenarioError(where, f"expected id:position, got {tok!r}")
+            raise ValueError(f"expected id:position, got {tok!r}")
         valve_id, pos = tok.split(":", 1)
         try:
             out.append(ConnectorValve(position=float(pos), valve_id=valve_id.strip()))
         except ValueError:
-            raise ScenarioError(where, f"bad connector position in {tok!r}") from None
-    return out
+            raise ValueError(f"bad connector position in {tok!r}") from None
+    return tuple(out)
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -156,33 +153,20 @@ def load_scenario(path: str | Path) -> Scenario:
     except configparser.Error as exc:
         raise ScenarioError(str(path), f"parse error: {exc}") from None
 
+    # Every value is fetched before its section is built, so _build only ever
+    # sees the model's own ValueErrors.
     if "pipeline" not in parser:
         raise ScenarioError("[pipeline]", "missing required section")
     sec = parser["pipeline"]
-    try:
-        spec = PipelineSpec(
-            p_inlet_0=_get_float(sec, "pipeline", "p1"),
-            p_outlet_0=_get_float(sec, "pipeline", "p2"),
-            length=_get_float(sec, "pipeline", "length"),
-            g0=_get_float(sec, "pipeline", "g0"),
-            sound_speed=_get_float(sec, "pipeline", "c"),
-            two_a=_get_float(sec, "pipeline", "two_a"),
-        )
-    except ValueError as exc:
-        if isinstance(exc, ScenarioError):
-            raise
-        raise ScenarioError("[pipeline]", str(exc)) from None
+    spec = _build("[pipeline]", PipelineSpec, *[_number(sec, "pipeline", key) for key in
+                                                ("p1", "p2", "length", "g0", "c", "two_a")])
 
     leak = None
     if "leak" in parser:
         sec = parser["leak"]
-        ell2 = _get_float(sec, "leak", "ell2")
-        g_leak = _get_float(sec, "leak", "g_leak", required=False, default=spec.g0)
-        try:
-            leak = LeakScenario(ell2=ell2, g_leak=g_leak)
-            leak.check_against(spec)
-        except ValueError as exc:
-            raise ScenarioError("[leak]", str(exc)) from None
+        leak = _build("[leak]", LeakScenario, _number(sec, "leak", "ell2"),
+                      _number(sec, "leak", "g_leak", default=spec.g0))
+        _build("[leak]", leak.check_against, spec)
 
     series = SeriesConfig()
     if "series" in parser:
@@ -194,29 +178,16 @@ def load_scenario(path: str | Path) -> Scenario:
             raise ScenarioError("[series].variant",
                                 f"must be one of {[v.value for v in Variant]}, "
                                 f"got {variant_raw!r}") from None
-        try:
-            series = SeriesConfig(
-                n_max=_get_int(sec, "series", "n_max", 64),
-                tail_tol=_get_float(sec, "series", "tail_tol", required=False, default=1.0),
-                variant=variant,
-            )
-        except ValueError as exc:
-            if isinstance(exc, ScenarioError):
-                raise
-            raise ScenarioError("[series]", str(exc)) from None
+        series = _build("[series]", SeriesConfig, _number(sec, "series", "n_max", int, 64),
+                        _number(sec, "series", "tail_tol", default=1.0), variant)
 
     layout = None
     if "valves" in parser:
         sec = parser["valves"]
-        if "line" not in sec:
-            raise ScenarioError("[valves].line", "missing required key")
-        positions = _parse_positions(sec["line"], "[valves].line")
-        connectors = _parse_connectors(sec.get("connectors", ""), "[valves].connectors")
-        try:
-            layout = ValveLayout(line_valves=tuple(positions),
-                                 connector_valves=tuple(connectors))
-        except ValueError as exc:
-            raise ScenarioError("[valves]", str(exc)) from None
+        positions = _number(sec, "valves", "line",
+                            lambda raw: [float(tok) for tok in raw.split(",") if tok.strip()])
+        layout = _build("[valves]", ValveLayout, tuple(positions),
+                        _number(sec, "valves", "connectors", _connectors, default=()))
         if abs(layout.length - spec.length) > 1e-6 * spec.length:
             raise ScenarioError("[valves].line",
                                 f"last valve at {layout.length:.6g} m must sit at the "
@@ -225,16 +196,8 @@ def load_scenario(path: str | Path) -> Scenario:
     run = None
     if "run" in parser:
         sec = parser["run"]
-        try:
-            run = RunWindow(
-                t_start=_get_float(sec, "run", "t_start", required=False, default=0.0),
-                t_end=_get_float(sec, "run", "t_end"),
-                step=_get_float(sec, "run", "step", required=False, default=60.0),
-            )
-        except ValueError as exc:
-            if isinstance(exc, ScenarioError):
-                raise
-            raise ScenarioError("[run]", str(exc)) from None
+        run = _build("[run]", RunWindow, _number(sec, "run", "t_start", default=0.0),
+                     _number(sec, "run", "t_end"), _number(sec, "run", "step", default=60.0))
 
     return Scenario(name=path.stem, spec=spec, leak=leak, series=series,
                     layout=layout, run=run)
