@@ -150,6 +150,8 @@ def cmd_verify(args) -> int:
     if args.step is not None:
         _require_positive("--step", args.step)
     _require_positive("--tol", args.tol)
+    if args.t_end is not None:
+        _require_positive("--t-end", args.t_end)
     sc = load_scenario(args.scenario)
     leak = sc.require_leak()
     cfg = _series_override(args, sc.series)

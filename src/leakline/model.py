@@ -21,7 +21,7 @@ from __future__ import annotations
 import enum
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -85,6 +85,9 @@ class PipelineSpec:
                 "inconsistent steady profile: p_inlet_0 - two_a*g0*length = "
                 f"{self.p_inlet_0 - drop:.6g} Pa but p_outlet_0 = {self.p_outlet_0:.6g} Pa"
             )
+        # last, so NaN and every value the checks above reject keep their message
+        if not all(map(math.isfinite, astuple(self))):
+            raise ValueError("all values must be finite")
 
     @property
     def diffusivity(self) -> float:
@@ -194,8 +197,8 @@ def pressure_field(spec: PipelineSpec, scenario: LeakScenario, cfg: SeriesConfig
     xs = np.asarray(xs, dtype=float)
     steady = steady_pressure(spec, xs)
     times = np.asarray(times, dtype=float).tolist()
-    if any(t < 0 for t in times):
-        raise ValueError("t must be >= 0")
+    if not all(0 <= t < math.inf for t in times):
+        raise ValueError("t must be >= 0 and finite")
     scenario.check_against(spec)
 
     L, g, ell2 = spec.length, scenario.g_leak, scenario.ell2

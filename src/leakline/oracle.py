@@ -47,6 +47,8 @@ class FdGrid:
             raise ValueError("nx must be >= 3")
         if not self.t_end > 0:
             raise ValueError("t_end must be > 0")
+        if self.t_end == np.inf:
+            raise ValueError("t_end must be finite")
 
 
 @dataclass(frozen=True)

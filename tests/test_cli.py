@@ -111,6 +111,14 @@ class TestSimulate:
         assert code == EXIT_VALIDATION
         assert "[pipeline]" in err
 
+    def test_infinite_pipeline_value_exit_one(self, capsys, scenario_path, tmp_path):
+        bad = tmp_path / "bad.cfg"
+        text = Path(scenario_path("pipeline_b_start")).read_text()
+        bad.write_text(text.replace("c = 383.3", "c = inf"))
+        code, out, err = run(capsys, "simulate", str(bad))
+        assert code == EXIT_VALIDATION
+        assert out == "" and err == "error: [pipeline]: all values must be finite\n"
+
 
 class TestLocate:
     def test_mid_leak_exact(self, capsys, scenario_path):
@@ -330,6 +338,7 @@ class TestUsageErrors:
     @pytest.mark.parametrize("command,flag", [
         ("locate", "--eps-meas"), ("curves", "--eps-meas"), ("monitor", "--eps-meas"),
         ("monitor", "--step"), ("verify", "--step"), ("verify", "--tol"),
+        ("verify", "--t-end"),
     ])
     def test_bad_positive_flag_exit_one(self, capsys, scenario_path, replay_path,
                                         command, flag, value, message):

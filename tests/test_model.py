@@ -53,6 +53,8 @@ class TestSpecValidation:
     @pytest.mark.parametrize("field,value", [
         ("length", -1.0), ("sound_speed", 0.0), ("two_a", 0.0), ("g0", -1.0),
         ("length", math.nan), ("sound_speed", math.nan), ("two_a", math.nan), ("g0", math.nan),
+        ("p_inlet_0", math.inf), ("p_outlet_0", math.inf), ("length", math.inf),
+        ("g0", math.inf), ("sound_speed", math.inf), ("two_a", math.inf),
     ])
     def test_positivity(self, field, value):
         kwargs = dict(p_inlet_0=55e4, p_outlet_0=25e4, length=10e4,
@@ -251,9 +253,10 @@ class TestPressureField:
         for i in (0, 2, 3):
             assert np.array_equal(field[i], steady)
 
-    def test_negative_time_rejected(self):
+    @pytest.mark.parametrize("bad_t", [-1.0, math.nan, math.inf])
+    def test_negative_time_rejected(self, bad_t):
         with pytest.raises(ValueError, match="t must be >= 0"):
-            pressure_field(PIPELINE_A, leak_a(), CFG, [0.0, 5e4], [100.0, -1.0, 300.0])
+            pressure_field(PIPELINE_A, leak_a(), CFG, [0.0, 5e4], [100.0, bad_t, 300.0])
 
     @pytest.mark.parametrize("bad_x", [-1.0, 10e4 + 1.0])
     def test_out_of_range_positions_rejected(self, bad_x):

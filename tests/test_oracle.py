@@ -37,7 +37,7 @@ def explicit_euler(spec, scenario, nx, t_end, dt):
 
 class TestGrid:
     @pytest.mark.parametrize("nx,t_end", [(2, 100.0), (200, 0.0), (200, -1.0),
-                                          (200, float("nan"))])
+                                          (200, float("nan")), (200, float("inf"))])
     def test_bad_grid_rejected(self, nx, t_end):
         with pytest.raises(ValueError):
             FdGrid(nx, t_end)

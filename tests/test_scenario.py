@@ -110,6 +110,8 @@ class TestFieldErrors:
             load_scenario(write(tmp_path, text))
 
     @pytest.mark.parametrize("old,new,where", [
+        ("p1 = 14e4", "p1 = inf", r"\[pipeline\]"),
+        ("c = 383.3", "c = inf", r"\[pipeline\]"),
         ("length = 3e4", "length = nan", r"\[pipeline\]"),
         ("g0 = 10", "g0 = nan", r"\[pipeline\]"),
         ("c = 383.3", "c = nan", r"\[pipeline\]"),
