@@ -106,7 +106,6 @@ class ThetaEstimate:
 
     theta: float | None
     ell2_est: float | None
-    t_fix: float
     verdict: Verdict
     theta_raw: float | None = None
     ratio: RatioPoint | None = None
@@ -335,19 +334,17 @@ def estimate_from_ratio(spec: PipelineSpec, rp: RatioPoint) -> ThetaEstimate:
     series ratio (see ThetaEstimate).  Should the series resolve no ratio at
     rp.t, theta falls back to the clamped closed form.
     """
-    t_fix = rp.t
     verdict, tv = _judge(spec, rp)
     if tv is None:
-        return ThetaEstimate(theta=None, ell2_est=None, t_fix=t_fix,
-                             verdict=verdict, ratio=rp)
-    theta = _series_theta(spec, rp.p, t_fix)
+        return ThetaEstimate(theta=None, ell2_est=None, verdict=verdict, ratio=rp)
+    theta = _series_theta(spec, rp.p, rp.t)
     if theta is None:
         theta = min(1.0, max(0.0, tv.theta))
     root = 0.0 < theta < 1.0 and verdict is not Verdict.TECHNOLOGICAL
     if verdict is Verdict.ACCIDENT:
         theta = min(1.0 - _THETA_EDGE, max(_THETA_EDGE, theta))
-    return ThetaEstimate(theta=theta, ell2_est=theta * spec.length, t_fix=t_fix,
-                         verdict=verdict, theta_raw=theta if root else tv.theta, ratio=rp)
+    return ThetaEstimate(theta=theta, ell2_est=theta * spec.length, verdict=verdict,
+                         theta_raw=theta if root else tv.theta, ratio=rp)
 
 
 def estimate_position(spec: PipelineSpec, traj: PressureTrajectory, t_fix: float,

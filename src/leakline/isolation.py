@@ -53,13 +53,12 @@ class ValveLayout:
 class IsolationPlan:
     """Valve actions as a diff against the stationary regime state."""
 
-    close: tuple[float, float]        # bracketing line-valve positions
+    close: tuple[float, float]        # bracketing line-valve positions: the isolated span
     open: tuple[str, ...]             # connector ids to open
-    isolated_span: tuple[float, float]
     partial: bool = False             # True when a side has no usable connector
 
     def __post_init__(self):
-        l1, l3 = self.isolated_span
+        l1, l3 = self.close
         if not l1 < l3:
             raise ValueError("isolated span must be non-empty")
 
@@ -99,6 +98,5 @@ def build_isolation_plan(layout: ValveLayout, ell2_est: float) -> IsolationPlan:
         to_open.append(min(right, key=lambda c: c.position).valve_id)
     stranded = (l1 > 0 and not left) or (l3 < layout.length and not right)
     return IsolationPlan(close=(l1, l3), open=tuple(to_open),
-                         isolated_span=(l1, l3),
                          partial=stranded or not to_open)
 

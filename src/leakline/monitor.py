@@ -162,7 +162,7 @@ def run_monitor(cfg: MonitorConfig,
             if cfg.layout is not None:
                 plan = build_isolation_plan(cfg.layout, est.ell2_est)
                 emit(t_abs, EventKind.PLAN_ISSUED, close=plan.close,
-                     open=plan.open, span=plan.isolated_span, partial=plan.partial)
+                     open=plan.open, span=plan.close, partial=plan.partial)
             else:
                 emit(t_abs, EventKind.DATA_QUALITY,
                      warning="no valve layout configured; plan skipped")

@@ -84,7 +84,7 @@ class TestIsolationPlan:
 
     def test_ends_only_layout_is_partial(self):
         plan = build_isolation_plan(ENDS_ONLY, 5e4)
-        assert plan.isolated_span == (0.0, 10e4)
+        assert plan.close == (0.0, 10e4)
         assert plan.open == ()
         assert plan.partial is True
 
@@ -102,6 +102,6 @@ class TestIsolationPlan:
         # estimates within the demonstrated error budget stay in the segment
         for true_pos, est in ((0.5e4, 0.539e4), (9.5e4, 9.461e4), (5.0e4, 5.0e4)):
             plan = build_isolation_plan(LAYOUT_A, est)
-            l1, l3 = plan.isolated_span
+            l1, l3 = plan.close
             assert l1 <= true_pos <= l3
 
