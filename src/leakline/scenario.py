@@ -185,8 +185,8 @@ def load_scenario(path: str | Path) -> Scenario:
     if "valves" in parser:
         sec = parser["valves"]
         positions = _number(sec, "valves", "line",
-                            lambda raw: [float(tok) for tok in raw.split(",") if tok.strip()])
-        layout = _build("[valves]", ValveLayout, tuple(positions),
+                            lambda raw: tuple(float(tok) for tok in raw.split(",") if tok.strip()))
+        layout = _build("[valves]", ValveLayout, positions,
                         _number(sec, "valves", "connectors", _connectors, default=()))
         if abs(layout.length - spec.length) > 1e-6 * spec.length:
             raise ScenarioError("[valves].line",
