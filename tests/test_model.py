@@ -253,10 +253,10 @@ class TestPressureField:
         for i in (0, 2, 3):
             assert np.array_equal(field[i], steady)
 
-    @pytest.mark.parametrize("bad_t", [-1.0, math.nan, math.inf])
-    def test_negative_time_rejected(self, bad_t):
-        with pytest.raises(ValueError, match="t must be >= 0"):
-            pressure_field(PIPELINE_A, leak_a(), CFG, [0.0, 5e4], [100.0, bad_t, 300.0])
+    def test_negative_time_rejected(self):
+        for bad_t in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="t must be >= 0"):
+                pressure_field(PIPELINE_A, leak_a(), CFG, [0.0, 5e4], [100.0, bad_t, 300.0])
 
     @pytest.mark.parametrize("bad_x", [-1.0, 10e4 + 1.0])
     def test_out_of_range_positions_rejected(self, bad_x):
