@@ -21,7 +21,7 @@ from __future__ import annotations
 import enum
 import math
 import warnings
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -86,7 +86,7 @@ class PipelineSpec:
                 f"{self.p_inlet_0 - drop:.6g} Pa but p_outlet_0 = {self.p_outlet_0:.6g} Pa"
             )
         # last, so NaN and every value the checks above reject keep their message
-        if not all(map(math.isfinite, astuple(self))):
+        if not all(map(math.isfinite, vars(self).values())):
             raise ValueError("all values must be finite")
 
     @property
