@@ -245,6 +245,13 @@ class TestCurves:
         first = out_path.read_text().splitlines()[1]
         assert first.endswith(",")  # outlet still quiet at t=100 -> empty cell
 
+    def test_matches_golden(self, capsys, scenario_path):
+        # regenerate after a deliberate change with
+        #   leakline curves scenarios/pipeline_{a,b}_{start,mid,end}.cfg > tests/golden/curves.csv
+        code, out, _ = run(capsys, "curves", *map(scenario_path, BUNDLED))
+        assert code == EXIT_OK
+        assert out.encode("ascii") == (GOLDEN / "curves.csv").read_bytes()
+
     def test_empty_scenario_set(self, capsys, tmp_path):
         out_path = tmp_path / "curves.csv"
         code, _, _ = run(capsys, "curves", "--out", str(out_path))
