@@ -138,8 +138,9 @@ def cmd_curves(args) -> int:
         leak, run = sc.require_leak(), sc.require_run()
         cfg = _series_override(args, sc.series)
         traj = detection.simulate_trajectory(sc.spec, leak, cfg, run.times())
-        for t in traj.times:
-            rp = detection.pressure_ratio(traj, t, eps_meas=args.eps_meas)
+        p1, p2 = traj.baseline
+        for t, p_in, p_out in traj.samples:
+            rp = detection.ratio_from_deviations(p1 - p_in, p2 - p_out, t, args.eps_meas)
             value = f"{rp.p:.9g}" if rp.defined else ""
             lines.append(f"{sc.name},{t:g},{value}")
     _write_or_print("\n".join(lines) + "\n", args.out)

@@ -107,6 +107,8 @@ class LeakScenario:
             raise ValueError("ell2 must be > 0")
         if not self.g_leak >= 0:
             raise ValueError("g_leak must be >= 0")
+        if self.g_leak == math.inf:
+            raise ValueError("g_leak must be finite")
 
     def check_against(self, spec: PipelineSpec) -> None:
         if not 0 < self.ell2 < spec.length:
@@ -131,6 +133,8 @@ class SeriesConfig:
         # accept the plain string spelling as well
         if not isinstance(self.variant, Variant):
             object.__setattr__(self, "variant", Variant(self.variant))
+        if self.tail_tol == math.inf:
+            raise ValueError("tail_tol must be finite")
 
 
 DEFAULT_SERIES = SeriesConfig()
@@ -196,7 +200,8 @@ def pressure_field(spec: PipelineSpec, scenario: LeakScenario, cfg: SeriesConfig
     """
     xs = np.asarray(xs, dtype=float)
     steady = steady_pressure(spec, xs)
-    times = np.asarray(times, dtype=float).tolist()
+    ts = np.asarray(times, dtype=float)
+    times = ts.tolist()
     if not all(0 <= t < math.inf for t in times):
         raise ValueError("t must be >= 0 and finite")
     scenario.check_against(spec)
@@ -223,27 +228,37 @@ def pressure_field(spec: PipelineSpec, scenario: LeakScenario, cfg: SeriesConfig
         kernel = neumann_kernel(xs, ell2, L)
     static, drain_rate = spec.two_a * g * kernel, spec.sound_speed**2 * g / L
 
-    field = np.empty((len(times), xs.size))
-    for row, t in zip(field, times):
+    early = []
+    for row, t in enumerate(times):
         if t < floor:
             if t > 0:
                 warnings.warn(f"t = {t:.6g} s below the series validity floor {floor:.6g} s; "
                               "returning the t=0 profile", SeriesPrecisionWarning, stacklevel=2)
-            row[:] = steady
+            early.append(row)
             continue
         tail = series_tail(spec, scenario, cfg.n_max, t)
         if tail > cfg.tail_tol:
             warnings.warn(f"series tail {tail:.3g} Pa exceeds tail_tol {cfg.tail_tol:.3g} Pa "
                           f"at t = {t:.6g} s with n_max = {cfg.n_max}",
                           SeriesPrecisionWarning, stacklevel=2)
-        drain = drain_rate * t
-        decay = np.exp(exponent * t) / n_sq
-        modes = amp * (cosines @ (leak_cosines * decay))
-        if as_printed:
-            startup = startup_amp * (cosines @ (np.exp(odd_exponent * t) / odd_sq))
-            row[:] = steady - drain + startup - static + modes - flipped
-        else:
-            row[:] = steady - drain - static + modes
+
+    # All rows at once; a row below the floor gets finite, untrusted series
+    # terms and is then reset to the steady profile.
+    t = ts[:, None]
+    drain = drain_rate * t
+    weights = leak_cosines * (np.exp(exponent * t) / n_sq)
+    # A stacked matmul runs the one-time matrix-vector product once per row, so
+    # each row keeps the bits of a call with its time alone.  A plain 2-D
+    # (rows x n) @ (n x xs) product sums in another order and does not.
+    modes = amp * np.matmul(cosines, weights[:, :, None])[:, :, 0]
+    if as_printed:
+        odd_weights = np.exp(odd_exponent * t) / odd_sq
+        startup = startup_amp * np.matmul(cosines, odd_weights[:, :, None])[:, :, 0]
+        field = steady - drain + startup - static + modes - flipped
+    else:
+        field = steady - drain - static + modes
+    for row in early:
+        field[row] = steady
     return field
 
 

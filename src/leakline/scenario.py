@@ -64,6 +64,8 @@ class RunWindow:
             raise ValueError("t_start must be >= 0")
         if not self.t_start <= self.t_end < math.inf:
             raise ValueError("t_end must be finite and >= t_start")
+        if self.step == math.inf:
+            raise ValueError("step must be finite")
 
     def times(self) -> list[float]:
         out = []

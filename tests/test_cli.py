@@ -314,6 +314,16 @@ class TestMonitorCommand:
         golden = GOLDEN / f"{replay}.{rule}.log"
         assert out.encode("ascii") == golden.read_bytes()
 
+    def test_infinite_run_step_exit_one(self, capsys, scenario_path, replay_path, tmp_path):
+        cfg = tmp_path / "inf_step.cfg"
+        text = Path(scenario_path("pipeline_b_start")).read_text()
+        cfg.write_text(re.sub(r"^step = .*$", "step = inf", text, count=1, flags=re.M))
+        code, out, err = run(capsys, "monitor", str(cfg),
+                             "--stream", replay_path("pipeline_b_start_leak"))
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert err == "error: [run]: step must be finite\n"
+
     def test_malformed_csv_exit_one(self, capsys, scenario_path, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("t_seconds,p_inlet_pa,p_outlet_pa\n0,140000,110000\nnope\n")

@@ -67,10 +67,12 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="strictly inside"):
             LeakScenario(ell2=11e4, g_leak=30.0).check_against(PIPELINE_A)
 
-    @pytest.mark.parametrize("field", ["ell2", "g_leak"])
-    def test_leak_nan_rejected(self, field):
+    @pytest.mark.parametrize("field,value", [("ell2", math.nan), ("g_leak", math.nan),
+                                             ("g_leak", math.inf)],
+                             ids=["ell2", "g_leak", "g_leak-inf"])
+    def test_leak_nan_rejected(self, field, value):
         kwargs = dict(ell2=0.5e4, g_leak=30.0)
-        kwargs[field] = math.nan
+        kwargs[field] = value
         with pytest.raises(ValueError):
             LeakScenario(**kwargs)
 
@@ -80,10 +82,12 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             SeriesConfig(tail_tol=0.0)
 
-    @pytest.mark.parametrize("field", ["n_max", "tail_tol"])
-    def test_series_config_nan_rejected(self, field):
+    @pytest.mark.parametrize("field,value", [("n_max", math.nan), ("tail_tol", math.nan),
+                                             ("tail_tol", math.inf)],
+                             ids=["n_max", "tail_tol", "tail_tol-inf"])
+    def test_series_config_nan_rejected(self, field, value):
         with pytest.raises(ValueError):
-            SeriesConfig(**{field: math.nan})
+            SeriesConfig(**{field: value})
 
 
 class TestDecayRate:
@@ -252,6 +256,28 @@ class TestPressureField:
         steady = steady_pressure(PIPELINE_A, xs)
         for i in (0, 2, 3):
             assert np.array_equal(field[i], steady)
+
+    def test_long_batch_rows_equal_single_time_evaluation(self):
+        # one long unsorted batch with t = 0, below-floor and repeated times
+        rng = np.random.default_rng(9)
+        floor = early_time_floor(PIPELINE_B)
+        later = rng.uniform(floor, 3000.0, 490)
+        times = np.concatenate([later, later[:10], [0.0, 0.0, 0.1 * floor, 0.5 * floor, floor]])
+        rng.shuffle(times)
+        leak = leak_b(1.2e4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SeriesPrecisionWarning)
+            for variant in Variant:
+                cfg = SeriesConfig(variant=variant)
+                for size in (1, 2, 101):
+                    xs = np.linspace(0.0, PIPELINE_B.length, size)
+                    field = pressure_field(PIPELINE_B, leak, cfg, xs, times)
+                    assert field.shape == (505, size)
+                    for row, t in zip(field, times):
+                        assert np.array_equal(row, pressure_profile(PIPELINE_B, leak, cfg, xs, t))
+                        if variant is Variant.RECONCILED:
+                            assert np.array_equal(
+                                row, reference_profile(PIPELINE_B, leak, cfg, xs, t))
 
     def test_negative_time_rejected(self):
         for bad_t in (-1.0, math.nan, math.inf):

@@ -123,6 +123,9 @@ class TestFieldErrors:
         ("t_end = 600", "t_end = nan", r"\[run\]"),
         ("t_end = 600", "t_end = inf", r"\[run\]"),
         ("step = 60", "step = nan", r"\[run\]"),
+        ("step = 60", "step = inf", r"\[run\]"),
+        ("ell2 = 0.5e4", "ell2 = 0.5e4\ng_leak = inf", r"\[leak\]"),
+        ("n_max = 32", "n_max = 32\ntail_tol = inf", r"\[series\]"),
     ])
     def test_non_finite_value_rejected(self, tmp_path, old, new, where):
         with pytest.raises(ScenarioError, match=where):
@@ -166,6 +169,9 @@ class TestFieldErrors:
         ("ell2 = 0.5e4", "ell2 = 4e4",
          "[leak]: ell2 = 40000 m must lie strictly inside (0, 30000)"),
         ("n_max = 32", "n_max = 0", "[series]: n_max must be >= 1"),
+        ("step = 60", "step = inf", "[run]: step must be finite"),
+        ("ell2 = 0.5e4", "ell2 = 0.5e4\ng_leak = inf", "[leak]: g_leak must be finite"),
+        ("n_max = 32", "n_max = 32\ntail_tol = inf", "[series]: tail_tol must be finite"),
     ])
     def test_error_text(self, tmp_path, old, new, text):
         assert old in VALID
