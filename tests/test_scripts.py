@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -42,3 +43,19 @@ def test_reproduce_tables_runs():
     result = run_script("reproduce_tables.py")
     assert result.returncode == 0, result.stderr
     assert result.stdout.count("<- fixation") == 6
+
+
+def test_bench_reads_the_perfbench_result_line():
+    spec = importlib.util.spec_from_file_location("bench", SCRIPTS / "bench.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    metrics = {"setup_s": {"value": 0.14, "unit": "s"},
+               "peak_rss_mb": {"value": 39.9, "unit": "MB"},
+               "pass_s": {"value": 0.54, "unit": "s"},
+               "err_p50": {"value": 0.00279, "unit": "1"}}
+    stdout = ('record {"workload": "sweep", "seed": 3}\n'
+              'report {"simulate_s": {"value": 0.2, "unit": "s"}}\n'
+              + json.dumps({"correct": True, "attempted": 1785, "failed": 0,
+                            "metrics": metrics}) + "\n")
+    assert module.parse_result(stdout) == {"correct": True, "attempted": 1785,
+                                           "failed": 0, "metrics": metrics}
