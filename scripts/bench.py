@@ -51,8 +51,8 @@ def main() -> int:
     seconds = bench["run_seconds"]
     record = {
         "git_commit": git("rev-parse", "HEAD"),
-        # tracked files edited since that commit: the numbers are not its own
-        "dirty": bool(git("status", "--porcelain", "--untracked-files=no")),
+        # edits to what the numbers depend on since that commit
+        "dirty": bool(git("status", "--porcelain", "--", "src", "perfbench", "BENCHMARK.json")),
         "python": platform.python_version(), "numpy": numpy.__version__,
         "seed": SEED, "seconds": seconds,
         "workloads": {w["name"]: run_workload(w["name"], seconds) for w in bench["workloads"]},
