@@ -272,7 +272,7 @@ class TestPressureField:
                 for size in (1, 2, 101):
                     xs = np.linspace(0.0, PIPELINE_B.length, size)
                     field = pressure_field(PIPELINE_B, leak, cfg, xs, times)
-                    assert field.shape == (505, size)
+                    assert field.shape == (times.size, size)
                     for row, t in zip(field, times):
                         assert np.array_equal(row, pressure_profile(PIPELINE_B, leak, cfg, xs, t))
                         if variant is Variant.RECONCILED:
