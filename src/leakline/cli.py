@@ -7,6 +7,7 @@ insufficient signal, 3 oracle tolerance breach.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
@@ -91,9 +92,9 @@ def cmd_simulate(args) -> int:
 
 def _trajectory_for(sc: Scenario, args) -> detection.PressureTrajectory:
     if args.observed is not None:
-        rows = list(monitor_mod.read_pressure_stream(args.observed))
+        rows = monitor_mod.read_pressure_stream(args.observed).tolist()
         return detection.PressureTrajectory(
-            samples=tuple(rows), baseline=(sc.spec.p_inlet_0, sc.spec.p_outlet_0))
+            samples=tuple(map(tuple, rows)), baseline=(sc.spec.p_inlet_0, sc.spec.p_outlet_0))
     leak, run = sc.require_leak(), sc.require_run()
     cfg = _series_override(args, sc.series)
     return detection.simulate_trajectory(sc.spec, leak, cfg, run.times())
@@ -188,7 +189,9 @@ def cmd_monitor(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The CLI parser, built once per process and reused by every `main` call."""
     parser = _Parser(prog="leakline",
                      description="Transient simulation, leak localisation and "
                                  "isolation planning for a two-line gas pipeline.")
@@ -206,7 +209,6 @@ def build_parser() -> _Parser:
     p.add_argument("--field", default=None, help="also dump the full x-t field CSV here")
     p.add_argument("--field-points", type=int, default=101)
     add_series_flags(p)
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("locate", help="estimate the leak position at an instant")
     p.add_argument("scenario")
@@ -216,14 +218,12 @@ def build_parser() -> _Parser:
     p.add_argument("--eps-meas", type=float, default=detection.DEFAULT_EPS_MEAS)
     p.add_argument("--out", default=None)
     add_series_flags(p)
-    p.set_defaults(func=cmd_locate)
 
     p = sub.add_parser("curves", help="long-form CSV of the drop ratio over time")
     p.add_argument("scenarios", nargs="*")
     p.add_argument("--eps-meas", type=float, default=detection.DEFAULT_EPS_MEAS)
     p.add_argument("--out", default=None)
     add_series_flags(p)
-    p.set_defaults(func=cmd_curves)
 
     p = sub.add_parser("verify", help="compare the series against the FD oracle")
     p.add_argument("scenario")
@@ -232,7 +232,6 @@ def build_parser() -> _Parser:
     p.add_argument("--step", type=float, default=None, help="snapshot spacing (s)")
     p.add_argument("--tol", type=float, default=1e-3, help="max relative error allowed")
     add_series_flags(p)
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("monitor", help="replay a sensor stream through the decision flow")
     p.add_argument("scenario")
@@ -242,7 +241,6 @@ def build_parser() -> _Parser:
                    default=monitor_mod.FixationRule.GRID.value)
     p.add_argument("--eps-meas", type=float, default=detection.DEFAULT_EPS_MEAS)
     p.add_argument("--step", type=float, default=None, help="sampling step override (s)")
-    p.set_defaults(func=cmd_monitor)
     return parser
 
 
@@ -250,7 +248,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        # looked up per call, so a rebound cmd_* (a tracing wrapper) is the one run
+        return globals()[f"cmd_{args.command}"](args)
     except SystemExit2 as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_VALIDATION

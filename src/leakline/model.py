@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -135,6 +136,8 @@ class SeriesConfig:
             object.__setattr__(self, "variant", Variant(self.variant))
         if self.tail_tol == math.inf:
             raise ValueError("tail_tol must be finite")
+        if not isinstance(self.n_max, numbers.Integral):
+            raise ValueError(f"n_max must be an integer, got {self.n_max!r}")
 
 
 DEFAULT_SERIES = SeriesConfig()

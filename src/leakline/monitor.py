@@ -14,9 +14,13 @@ from __future__ import annotations
 import enum
 import math
 import statistics
+import warnings
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
+
+import numpy as np
 
 from .detection import (
     DEFAULT_EPS_MEAS,
@@ -102,13 +106,17 @@ def format_event(event: MonitorEvent) -> str:
     return f"{event.t:.3f},{event.kind.value},{payload}"
 
 
-def read_pressure_stream(path: str | Path) -> Iterator[tuple[float, float, float]]:
-    """Parse a `t_seconds,p_inlet_pa,p_outlet_pa` CSV (header required)."""
+def _check_header(fh) -> None:
+    if [c.strip() for c in fh.readline().strip().split(",")] != [
+            "t_seconds", "p_inlet_pa", "p_outlet_pa"]:
+        raise StreamFormatError(1, "expected header 't_seconds,p_inlet_pa,p_outlet_pa'")
+
+
+def _read_rows(path: str | Path) -> list[tuple[float, float, float]]:
+    """Line-by-line parse: accepts what `float` accepts, reports the first bad line."""
+    rows = []
     with open(path, encoding="ascii") as fh:
-        header = fh.readline()
-        if [c.strip() for c in header.strip().split(",")] != [
-                "t_seconds", "p_inlet_pa", "p_outlet_pa"]:
-            raise StreamFormatError(1, "expected header 't_seconds,p_inlet_pa,p_outlet_pa'")
+        _check_header(fh)
         for line_no, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
@@ -117,13 +125,41 @@ def read_pressure_stream(path: str | Path) -> Iterator[tuple[float, float, float
             if len(parts) != 3:
                 raise StreamFormatError(line_no, f"expected 3 fields, got {len(parts)}")
             try:
-                yield float(parts[0]), float(parts[1]), float(parts[2])
+                rows.append((float(parts[0]), float(parts[1]), float(parts[2])))
             except ValueError as exc:
                 raise StreamFormatError(line_no, str(exc)) from None
+    return rows
+
+
+def read_pressure_stream(path: str | Path) -> np.ndarray:
+    """Parse a `t_seconds,p_inlet_pa,p_outlet_pa` CSV (header required) into
+    an (n, 3) float array of (t, p_inlet, p_outlet) rows.
+
+    The body is parsed in one NumPy pass.  A body NumPy rejects or reads to
+    another shape is parsed again line by line, so the accepted input, the
+    values and the StreamFormatError texts are those of `float` per field.
+    """
+    with open(path, encoding="ascii") as fh:
+        _check_header(fh)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # a body without rows
+                rows = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+        except ValueError:  # UnicodeDecodeError included
+            rows = None
+    if rows is None or rows.shape[1] != 3:
+        rows = np.array(_read_rows(path), dtype=np.float64).reshape(-1, 3)
+    return rows
+
+
+def _after(indices: list[int], i: int, stop: int) -> int:
+    """The first of the sorted `indices` beyond i, or stop if none is before it."""
+    k = bisect_right(indices, i)
+    return min(indices[k], stop) if k < len(indices) else stop
 
 
 def run_monitor(cfg: MonitorConfig,
-                stream: Iterable[tuple[float, float, float]]) -> list[MonitorEvent]:
+                stream: np.ndarray | Iterable[tuple[float, float, float]]) -> list[MonitorEvent]:
     """Replay a stream and return the ordered decision events.
 
     The episode clock is anchored at the last sample before the first
@@ -131,17 +167,37 @@ def run_monitor(cfg: MonitorConfig,
     happened), so a grid-rule verdict lands at onset + fixation_time.  A
     non-finite or non-positive reading yields a DataQuality event and is
     left out of the baseline, the episode clock and the fixation rule.
+
+    `stream` is an (n, 3) array of (t, p_inlet, p_outlet) rows or any
+    iterable of such triples.  The samples up to the first out-of-order
+    timestamp are replayed before StreamOrderError is raised.
     """
+    rows = np.asarray(stream if isinstance(stream, np.ndarray) else list(stream),
+                      dtype=np.float64)
+    if rows.size == 0:
+        rows = rows.reshape(0, 3)
+    ts, p_ins, p_outs = rows.T
+    with np.errstate(invalid="ignore", over="ignore"):
+        steps = np.diff(ts)
+        disorder = np.flatnonzero(~((ts[:-1] < ts[1:]) & (ts[1:] < math.inf)))
+    stop = int(disorder[0]) + 1 if len(disorder) else len(rows)
+    gap = np.zeros(len(rows), dtype=bool)
+    gap[1:] = steps > 2.0 * cfg.sampling_step
+    invalid = ~((0 < p_ins) & (p_ins < math.inf) & (0 < p_outs) & (p_outs < math.inf))
+    # samples that emit a DataQuality event whatever the state
+    flagged = np.flatnonzero(gap | invalid).tolist()
+    wake: list[int] = []  # set with the baseline: the samples a quiet run ends at
+
     events: list[MonitorEvent] = []
     baseline_buf: list[tuple[float, float, float]] = []
     baseline: tuple[float, float] | None = None
-    prev_t: float | None = None
     prev_quiet_t: float | None = None
     t_onset: float | None = None    # set while an episode is open
     empirical: EmpiricalFixation | None = None
     done = False
     rearm_pending = False
     quiet_since: float | None = None
+    quiet_run = False  # armed and the last sample was quiet
     t_fix_target = fixation_time(cfg.spec, cfg.sampling_step)
     eps = cfg.eps_meas
 
@@ -168,15 +224,23 @@ def run_monitor(cfg: MonitorConfig,
                      warning="no valve layout configured; plan skipped")
         return est.verdict
 
-    for t, p_in, p_out in stream:
-        if prev_t is not None and not prev_t < t < math.inf:  # also catches NaN
-            raise StreamOrderError(f"timestamp {t:.6g} is not a finite time after "
-                                   f"{prev_t:.6g}; episode aborted")
-        if prev_t is not None and t - prev_t > 2.0 * cfg.sampling_step:
+    i = -1
+    while True:
+        if done:  # after an Accident only DataQuality events remain
+            i = _after(flagged, i, stop)
+        elif quiet_run:  # each quiet sample up to the next wake one only moves prev_quiet_t
+            i = _after(wake, i, stop)
+            prev_quiet_t = float(ts[i - 1])
+        else:
+            i += 1
+        if i >= stop:
+            break
+        quiet_run = False
+        t, p_in, p_out = rows[i].tolist()
+        if gap[i]:
             emit(t, EventKind.DATA_QUALITY,
-                 warning=f"gap {t - prev_t:.6g} s exceeds twice the sampling step")
-        prev_t = t
-        if not (0 < p_in < math.inf and 0 < p_out < math.inf):  # also false for NaN
+                 warning=f"gap {steps[i - 1]:.6g} s exceeds twice the sampling step")
+        if invalid[i]:
             emit(t, EventKind.DATA_QUALITY,
                  warning=f"invalid reading p_inlet={p_in:.6g} p_outlet={p_out:.6g}; "
                          "sample skipped")
@@ -190,6 +254,11 @@ def run_monitor(cfg: MonitorConfig,
                 emit(t, EventKind.BASELINE, p_inlet=baseline[0], p_outlet=baseline[1],
                      n_samples=BASELINE_SAMPLES)
                 prev_quiet_t = t
+                quiet_run = True
+                dev_ins, dev_outs = baseline[0] - p_ins, baseline[1] - p_outs
+                quiet = ((-eps < dev_ins) & (dev_ins < eps)
+                         & (-eps < dev_outs) & (dev_outs < eps) & ~invalid)
+                wake = np.flatnonzero(~quiet | gap).tolist()
             continue
         if done:
             continue
@@ -218,14 +287,15 @@ def run_monitor(cfg: MonitorConfig,
                      dev_outlet=dev_out, t_onset=t_onset)
             else:
                 prev_quiet_t = t
+                quiet_run = True
                 continue
 
         tau = t - t_onset
-        rp = ratio_from_deviations(dev_in, dev_out, tau, cfg.eps_meas)
         if cfg.fixation_rule is FixationRule.GRID:
-            fixed = rp if tau >= t_fix_target else None
+            fixed = (ratio_from_deviations(dev_in, dev_out, tau, eps)
+                     if tau >= t_fix_target else None)
         else:
-            fixed = empirical.push(rp)
+            fixed = empirical.push(ratio_from_deviations(dev_in, dev_out, tau, eps))
 
         if fixed is not None:
             emit(t, EventKind.FIXATION, tau=fixed.t, t_onset=t_onset,
@@ -237,6 +307,9 @@ def run_monitor(cfg: MonitorConfig,
                 rearm_pending = True
                 quiet_since = None if deviating else t
                 t_onset = None
+    if stop < len(rows):
+        raise StreamOrderError(f"timestamp {ts[stop]:.6g} is not a finite time after "
+                               f"{ts[stop - 1]:.6g}; episode aborted")
     return events
 
 

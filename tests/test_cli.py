@@ -332,6 +332,18 @@ class TestMonitorCommand:
         assert code == EXIT_VALIDATION
         assert "line 3" in err
 
+    def test_malformed_line_reported_before_disorder(self, capsys, scenario_path, tmp_path):
+        # the stream is read whole before replay, so a malformed line is
+        # reported even when an out-of-order timestamp comes before it
+        bad = tmp_path / "bad.csv"
+        bad.write_text("t_seconds,p_inlet_pa,p_outlet_pa\n0,140000,110000\n"
+                       "60,140000,110000\n30,140000,110000\nnope\n")
+        code, out, err = run(capsys, "monitor", scenario_path("pipeline_b_start"),
+                             "--stream", str(bad))
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert err == "error: line 5: expected 3 fields, got 1\n"
+
 
 class TestUsageErrors:
     def test_unknown_variant_exit_one(self, capsys, scenario_path):

@@ -89,6 +89,11 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             SeriesConfig(**{field: value})
 
+    @pytest.mark.parametrize("n_max", [math.inf, 2.5, 64.0])
+    def test_series_config_non_integer_n_max_rejected(self, n_max):
+        with pytest.raises(ValueError, match="n_max must be an integer"):
+            SeriesConfig(n_max=n_max)
+
 
 class TestDecayRate:
     def test_line_a(self):
