@@ -25,7 +25,7 @@ from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -36,8 +36,9 @@ from .model import (
     PipelineSpec,
     SeriesConfig,
     decay_rate,
+    early_time_floor,
     pressure_field,
-    pressure_profile,
+    untrusted_time,
 )
 
 # Deviations below this floor (Pa) are treated as unmeasurable; matches a
@@ -127,6 +128,8 @@ class PressureTrajectory:
         p1, p2 = self.baseline
         if not (p1 > p2 > 0 and math.isfinite(p1)):
             raise ValueError("baseline must satisfy P1 > P2 > 0")
+        if not self.samples:
+            raise ValueError("need at least one sample")
         if not all(math.isfinite(v) for s in self.samples for v in s):
             raise ValueError("times and pressures must be finite")
         times = self.times
@@ -271,21 +274,39 @@ def classify_regime(spec: PipelineSpec, traj: PressureTrajectory, t_fix: float,
     return verdict
 
 
-def _series_log_ratio(spec: PipelineSpec, theta: float, t: float) -> float:
-    """log of the model's drop ratio for a leak at theta * length.
+def _series_log_ratio(spec: PipelineSpec, t: float) -> Callable[[float], float]:
+    """theta -> log of the model's drop ratio at t for a leak at theta * length.
 
-    The ratio does not depend on the leak flux, so a unit flux is used.
-    +inf while the outlet drop is not resolved (it is still at round-off);
-    NaN when the inlet drop is not either.
+    A unit flux is used, as the ratio does not depend on it.  The theta-free
+    terms are built once; each call takes pressure_field's remaining steps at
+    xs = [0, length], in its order and shapes and element-wise on Python
+    floats, so it matches pressure_profile to the bit.  +inf while the outlet
+    drop is not resolved (still at round-off); NaN when the inlet drop is not.
     """
-    leak = LeakScenario(ell2=theta * spec.length, g_leak=1.0)
-    p_in, p_out = pressure_profile(spec, leak, DEFAULT_SERIES, [0.0, spec.length], t)
-    dev_in, dev_out = spec.p_inlet_0 - p_in, spec.p_outlet_0 - p_out
-    if not dev_in > 0:
-        return math.nan
-    if not dev_out > 0:
-        return math.inf
-    return math.log(dev_in / dev_out)
+    if not 0 <= t < math.inf:
+        raise ValueError("t must be >= 0 and finite")
+    L, two_a, cfg = spec.length, spec.two_a, DEFAULT_SERIES
+    if untrusted_time(spec, LeakScenario(0.5 * L, 1.0), cfg, t, early_time_floor(spec)):
+        return lambda theta: math.nan  # the t=0 profile: no drop at either end
+    n = np.arange(1, cfg.n_max + 1, dtype=float)
+    pi_n, cosines = np.pi * n, np.cos(np.pi * (np.array([[0.0], [L]]) * n) / L)
+    # steady_pressure at the two ends, without its range check
+    s_in, s_out = (spec.p_inlet_0 - two_a * spec.g0 * x for x in (0.0, L))
+    decay = np.exp(-n * n * decay_rate(spec) * t) / (n * n)
+    amp, drain = 2.0 * two_a * L / PI_SQ, spec.sound_speed**2 / L * t
+
+    def log_ratio(theta: float) -> float:
+        ell2 = theta * L
+        weights = np.cos(pi_n * ell2 / L) * decay
+        m_in, m_out = np.matmul(cosines, weights[None, :, None]).ravel().tolist()
+        static_in = two_a * ((0.0 + ell2 * ell2) / (2.0 * L) + L / 3.0 - max(0.0, ell2))
+        static_out = two_a * ((L * L + ell2 * ell2) / (2.0 * L) + L / 3.0 - max(L, ell2))
+        dev_in = spec.p_inlet_0 - (s_in - drain - static_in + amp * m_in)
+        dev_out = spec.p_outlet_0 - (s_out - drain - static_out + amp * m_out)
+        if not dev_in > 0:
+            return math.nan
+        return math.log(dev_in / dev_out) if dev_out > 0 else math.inf
+    return log_ratio
 
 
 def _series_theta(spec: PipelineSpec, p: float, t: float) -> float | None:
@@ -299,7 +320,8 @@ def _series_theta(spec: PipelineSpec, p: float, t: float) -> float | None:
     to the nearer end.  None when the series resolves no ratio at t.
     """
     q = abs(math.log(p))
-    a, fa = _THETA_EDGE, _series_log_ratio(spec, _THETA_EDGE, t) - q
+    log_ratio = _series_log_ratio(spec, t)
+    a, fa = _THETA_EDGE, log_ratio(_THETA_EDGE) - q
     if math.isnan(fa):
         return None
     theta = 0.0 if fa <= 0 else 0.5
@@ -308,7 +330,7 @@ def _series_theta(spec: PipelineSpec, p: float, t: float) -> float | None:
         if not (fa > 0 > fb and b - a > _ROOT_TOL):
             break
         theta = 0.5 * (a + b) if math.isinf(fa) else (a * fb - b * fa) / (fb - fa)
-        f = _series_log_ratio(spec, theta, t) - q
+        f = log_ratio(theta) - q
         if math.isnan(f):
             return None
         if abs(f) <= _ROOT_TOL:

@@ -48,6 +48,12 @@ class ValveLayout:
     def length(self) -> float:
         return self.line_valves[-1]
 
+    def check_against(self, spec) -> None:
+        """Reject a layout whose last valve is not at the end of pipeline spec."""
+        if abs(self.length - spec.length) > 1e-6 * spec.length:
+            raise ValueError(f"last valve at {self.length:.6g} m must sit at the "
+                             f"pipeline end {spec.length:.6g} m")
+
 
 @dataclass(frozen=True)
 class IsolationPlan:

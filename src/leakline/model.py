@@ -10,6 +10,7 @@ expansion is evaluated here with controlled truncation.
 
 pressure_field is the one evaluator, over a whole (times x xs) grid per call;
 pressure_profile, transient_pressure, inlet_pressure and outlet_pressure are views of it.
+detection's root search repeats its steps at the two ends, with its warnings.
 steady_pressure is the one home of the linear pre-event profile, which the
 series and the finite-difference oracle both add their deviation to.
 
@@ -191,6 +192,23 @@ def series_tail(spec: PipelineSpec, scenario: LeakScenario, n_max: int, t: float
     return amp * math.exp(-m * m * rt) / (m * m * -math.expm1(-2.0 * m * rt))
 
 
+def untrusted_time(spec: PipelineSpec, scenario: LeakScenario, cfg: SeriesConfig,
+                   t: float, floor: float) -> bool:
+    """Warn, naming the caller's caller, if t > 0 is below the early-time floor
+    or the tail exceeds cfg.tail_tol; True when t is below the floor."""
+    if t < floor:
+        if t > 0:
+            warnings.warn(f"t = {t:.6g} s below the series validity floor {floor:.6g} s; "
+                          "returning the t=0 profile", SeriesPrecisionWarning, stacklevel=3)
+        return True
+    tail = series_tail(spec, scenario, cfg.n_max, t)
+    if tail > cfg.tail_tol:
+        warnings.warn(f"series tail {tail:.3g} Pa exceeds tail_tol {cfg.tail_tol:.3g} Pa "
+                      f"at t = {t:.6g} s with n_max = {cfg.n_max}",
+                      SeriesPrecisionWarning, stacklevel=3)
+    return False
+
+
 def pressure_field(spec: PipelineSpec, scenario: LeakScenario, cfg: SeriesConfig,
                    xs: np.ndarray, times: np.ndarray) -> np.ndarray:
     """Transient pressure at positions xs (m) for each of times (s).
@@ -233,17 +251,8 @@ def pressure_field(spec: PipelineSpec, scenario: LeakScenario, cfg: SeriesConfig
 
     early = []
     for row, t in enumerate(times):
-        if t < floor:
-            if t > 0:
-                warnings.warn(f"t = {t:.6g} s below the series validity floor {floor:.6g} s; "
-                              "returning the t=0 profile", SeriesPrecisionWarning, stacklevel=2)
+        if untrusted_time(spec, scenario, cfg, t, floor):
             early.append(row)
-            continue
-        tail = series_tail(spec, scenario, cfg.n_max, t)
-        if tail > cfg.tail_tol:
-            warnings.warn(f"series tail {tail:.3g} Pa exceeds tail_tol {cfg.tail_tol:.3g} Pa "
-                          f"at t = {t:.6g} s with n_max = {cfg.n_max}",
-                          SeriesPrecisionWarning, stacklevel=2)
 
     # All rows at once; a row below the floor gets finite, untrusted series
     # terms and is then reset to the steady profile.

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import enum
 import math
-import statistics
 import warnings
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -82,6 +81,8 @@ class MonitorConfig:
             raise ValueError("eps_meas must be > 0")
         if not isinstance(self.fixation_rule, FixationRule):
             object.__setattr__(self, "fixation_rule", FixationRule(self.fixation_rule))
+        if self.layout is not None:
+            self.layout.check_against(self.spec)
 
 
 @dataclass(frozen=True)
@@ -249,8 +250,9 @@ def run_monitor(cfg: MonitorConfig,
         if baseline is None:
             baseline_buf.append((t, p_in, p_out))
             if len(baseline_buf) == BASELINE_SAMPLES:
-                baseline = (statistics.median(s[1] for s in baseline_buf),
-                            statistics.median(s[2] for s in baseline_buf))
+                mid = BASELINE_SAMPLES // 2  # the median, as the count is odd
+                baseline = (sorted(s[1] for s in baseline_buf)[mid],
+                            sorted(s[2] for s in baseline_buf)[mid])
                 emit(t, EventKind.BASELINE, p_inlet=baseline[0], p_outlet=baseline[1],
                      n_samples=BASELINE_SAMPLES)
                 prev_quiet_t = t
@@ -323,13 +325,10 @@ def append_event_log(path: str | Path, events: list[MonitorEvent]) -> int:
     try:
         new_file = not path.exists() or path.stat().st_size == 0
         with open(path, "a", encoding="ascii") as fh:
-            lines = 0
             if new_file:
                 fh.write(LOG_HEADER + "\n")
-                lines += 1
             for event in events:
                 fh.write(format_event(event) + "\n")
-                lines += 1
-        return lines
+        return len(events) + new_file
     except OSError as exc:
         raise EventLogError(f"cannot write event log at {path}: {exc}") from exc

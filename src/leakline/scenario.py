@@ -104,15 +104,19 @@ class Scenario:
 def _number(section, sec_name: str, key: str, kind=float, default=None):
     """section[key] converted by kind; default when absent, required if None.
 
-    A missing required key, or a value kind rejects, raises a ScenarioError at
-    [sec_name].key.  A kind other than float or int words its own ValueError.
+    A missing required key, a bad %-interpolation or a value kind rejects
+    raises a ScenarioError at [sec_name].key.  A kind other than float or int
+    words its own ValueError.
     """
     where = f"[{sec_name}].{key}"
     if key not in section:
         if default is None:
             raise ScenarioError(where, "missing required key")
         return default
-    raw = section[key]
+    try:
+        raw = section[key]
+    except configparser.InterpolationError as exc:
+        raise ScenarioError(where, f"bad interpolation: {exc}") from None
     try:
         return kind(raw)
     except ValueError as exc:
@@ -173,7 +177,7 @@ def load_scenario(path: str | Path) -> Scenario:
     series = SeriesConfig()
     if "series" in parser:
         sec = parser["series"]
-        variant_raw = sec.get("variant", Variant.RECONCILED.value)
+        variant_raw = _number(sec, "series", "variant", str, Variant.RECONCILED.value)
         try:
             variant = Variant(variant_raw)
         except ValueError:
@@ -190,10 +194,7 @@ def load_scenario(path: str | Path) -> Scenario:
                             lambda raw: tuple(float(tok) for tok in raw.split(",") if tok.strip()))
         layout = _build("[valves]", ValveLayout, positions,
                         _number(sec, "valves", "connectors", _connectors, default=()))
-        if abs(layout.length - spec.length) > 1e-6 * spec.length:
-            raise ScenarioError("[valves].line",
-                                f"last valve at {layout.length:.6g} m must sit at the "
-                                f"pipeline end {spec.length:.6g} m")
+        _build("[valves].line", layout.check_against, spec)
 
     run = None
     if "run" in parser:

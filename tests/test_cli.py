@@ -170,6 +170,23 @@ class TestLocate:
         assert code == EXIT_VALIDATION
         assert "finite" in err
 
+    def test_observed_header_only_exit_one(self, capsys, scenario_path, tmp_path):
+        path = tmp_path / "obs.csv"
+        path.write_text("t_seconds,p_inlet_pa,p_outlet_pa\n")
+        code, out, err = run(capsys, "locate", scenario_path("pipeline_b_start"), "--at", "120",
+                             "--observed", str(path))
+        assert code == EXIT_VALIDATION
+        assert (out, err) == ("", "error: need at least one sample\n")
+
+    def test_scenario_stray_percent_exit_one(self, capsys, scenario_path, tmp_path):
+        path = tmp_path / "pct.cfg"
+        text = open(scenario_path("pipeline_b_start")).read()
+        path.write_text(text.replace("p1 = 14e4", "p1 = 14e4 %", 1))
+        code, out, err = run(capsys, "locate", str(path), "--at", "120")
+        assert code == EXIT_VALIDATION
+        assert (out, err) == ("", "error: [pipeline].p1: bad interpolation: "
+                                  "'%' must be followed by '%' or '(', found: '%'\n")
+
     def test_undefined_ratio_exit_two(self, capsys, scenario_path):
         # full-precision outlet deviation at 300 s sits below the 100 Pa floor
         code, _, err = run(capsys, "locate", scenario_path("pipeline_a_start"), "--at", "300")

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from leakline.detection import (
     RatioPoint,
     UndefinedCause,
     Verdict,
+    _series_log_ratio,
     admissible_band,
     classify_regime,
     estimate_position,
@@ -25,7 +27,17 @@ from leakline.detection import (
     simulate_trajectory,
     theta_from_ratio,
 )
-from leakline.model import PIPELINE_A, PIPELINE_B, LeakScenario, PipelineSpec, SeriesConfig
+from leakline.model import (
+    DEFAULT_SERIES,
+    PIPELINE_A,
+    PIPELINE_B,
+    LeakScenario,
+    PipelineSpec,
+    SeriesConfig,
+    SeriesPrecisionWarning,
+    early_time_floor,
+    pressure_profile,
+)
 from leakline.oracle import FdGrid, fd_solve
 
 from reference_tables import (
@@ -85,6 +97,10 @@ class TestPressureRatio:
             PressureTrajectory(samples=((60.0, bad, 24e4),), baseline=BASE_A)
         with pytest.raises(ValueError, match="finite"):
             PressureTrajectory(samples=((60.0, 54e4, bad),), baseline=BASE_A)
+
+    def test_trajectory_rejects_empty(self):
+        with pytest.raises(ValueError, match="need at least one sample"):
+            PressureTrajectory(samples=(), baseline=BASE_A)
 
     def test_outside_span_rejected(self):
         with pytest.raises(ValueError, match="span"):
@@ -272,6 +288,57 @@ class TestClassification:
         est = estimate_position(PIPELINE_B, traj, 120.0)
         assert est.verdict is Verdict.INDETERMINATE
         assert est.theta is None and est.ell2_est is None
+
+
+def profile_log_ratio(spec, theta, t):
+    """The series log ratio from the general evaluator, with the root search's
+    NaN (no inlet drop) and +inf (no outlet drop) rules."""
+    leak = LeakScenario(ell2=theta * spec.length, g_leak=1.0)
+    p_in, p_out = pressure_profile(spec, leak, DEFAULT_SERIES, [0.0, spec.length], t)
+    dev_in, dev_out = spec.p_inlet_0 - p_in, spec.p_outlet_0 - p_out
+    if not dev_in > 0:
+        return math.nan
+    if not dev_out > 0:
+        return math.inf
+    return math.log(dev_in / dev_out)
+
+
+# line A with its steady outlet 0.1 Pa below the linear profile, inside the
+# 1e-6 relative tolerance PipelineSpec allows
+PIPELINE_A_OFFSET = PipelineSpec(p_inlet_0=55e4, p_outlet_0=25e4 - 0.1, length=10e4,
+                                 g0=30.0, sound_speed=383.3, two_a=0.1)
+
+
+class TestSeriesLogRatio:
+    @pytest.mark.parametrize("spec", [PIPELINE_A, PIPELINE_B, PIPELINE_A_OFFSET],
+                             ids=["A", "B", "A_offset"])
+    def test_bit_identical_to_pressure_profile(self, spec):
+        floor = early_time_floor(spec)
+        times = [0.0, 0.01 * floor, 0.5 * floor, floor, 1.5 * floor, 1.0, 10.0, 60.0,
+                 78.3, 120.0, 261.0, 600.0, 1200.0, 3000.0, 1e4, 1e5]
+        thetas = [1e-12, 1e-6, 1e-4, 0.003] + [k / 40 for k in range(1, 40)] + [0.999, 1 - 1e-6]
+        kinds = set()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SeriesPrecisionWarning)
+            for t in times:
+                log_ratio = _series_log_ratio(spec, t)
+                for theta in thetas:
+                    got, want = log_ratio(theta), profile_log_ratio(spec, theta, t)
+                    kind = "nan" if math.isnan(want) else "inf" if math.isinf(want) else "finite"
+                    kinds.add(kind)
+                    assert got == want or kind == "nan" and math.isnan(got), (t, theta)
+        assert kinds == {"nan", "inf", "finite"}
+
+    def test_below_floor_warns_and_resolves_nothing(self):
+        t = 0.5 * early_time_floor(PIPELINE_B)
+        with pytest.warns(SeriesPrecisionWarning, match="validity floor"):
+            log_ratio = _series_log_ratio(PIPELINE_B, t)
+        assert math.isnan(log_ratio(0.3))
+
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+    def test_bad_time_rejected_as_by_the_evaluator(self, bad):
+        with pytest.raises(ValueError, match="t must be >= 0 and finite"):
+            _series_log_ratio(PIPELINE_A, bad)
 
 
 class TestTimingRules:

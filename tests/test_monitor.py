@@ -8,7 +8,7 @@ import pytest
 from leakline.cli import main
 from leakline.detection import PressureTrajectory, Verdict, fixation_time_empirical
 from leakline.isolation import ConnectorValve, ValveLayout
-from leakline.model import PIPELINE_B
+from leakline.model import PIPELINE_A, PIPELINE_B
 from leakline.monitor import (
     EventKind,
     EventLogError,
@@ -49,6 +49,18 @@ class TestConfigValidation:
     def test_non_positive_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be > 0"):
             config(**{field: value})
+
+
+    def test_layout_must_end_at_pipeline_end(self):
+        with pytest.raises(ValueError) as info:
+            config(spec=PIPELINE_A)  # the 30 km line-B layout on the 100 km line A
+        assert str(info.value) == ("last valve at 30000 m must sit at the "
+                                   "pipeline end 100000 m")
+
+    def test_layout_end_within_relative_tolerance_accepted(self):
+        near = ValveLayout(line_valves=(0.0, 1.5e4, 3e4 * (1 + 5e-7)))
+        assert config(layout=near).layout is near
+        assert config(layout=None).layout is None
 
 
 class TestLeakReplay:

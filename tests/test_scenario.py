@@ -59,6 +59,15 @@ class TestLoading:
         sc = load_scenario(write(tmp_path, text))
         assert sc.run.times() == [0.0]
 
+    def test_interpolation_kept(self, tmp_path):
+        text = VALID.replace("line = 0, 1.5e4, 3e4", "end = 3e4\nline = 0, 1.5e4, %(end)s")
+        sc = load_scenario(write(tmp_path, text))
+        assert sc.layout.line_valves == (0.0, 1.5e4, 3e4)
+        # '%%' still reads as a literal '%'
+        with pytest.raises(ScenarioError) as info:
+            load_scenario(write(tmp_path, VALID.replace("step = 60", "step = 6%%")))
+        assert str(info.value) == "[run].step: not a number: '6%'"
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ScenarioError, match="not found"):
             load_scenario(tmp_path / "nope.cfg")
@@ -172,6 +181,18 @@ class TestFieldErrors:
         ("step = 60", "step = inf", "[run]: step must be finite"),
         ("ell2 = 0.5e4", "ell2 = 0.5e4\ng_leak = inf", "[leak]: g_leak must be finite"),
         ("n_max = 32", "n_max = 32\ntail_tol = inf", "[series]: tail_tol must be finite"),
+        ("p1 = 14e4", "p1 = 14e4 %",
+         "[pipeline].p1: bad interpolation: '%' must be followed by '%' or '(', found: '%'"),
+        ("variant = as_printed", "variant = as_printed%",
+         "[series].variant: bad interpolation: '%' must be followed by '%' or '(', "
+         "found: '%'"),
+        ("connectors = c1:0.75e4, c2:2.25e4", "connectors = c1:50%",
+         "[valves].connectors: bad interpolation: '%' must be followed by '%' or '(', "
+         "found: '%'"),
+        ("ell2 = 0.5e4", "ell2 = %(nowhere)s",
+         "[leak].ell2: bad interpolation: Bad value substitution: option 'ell2' in section "
+         "'leak' contains an interpolation key 'nowhere' which is not a valid option name. "
+         "Raw value: '%(nowhere)s'"),
     ])
     def test_error_text(self, tmp_path, old, new, text):
         assert old in VALID

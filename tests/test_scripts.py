@@ -59,3 +59,29 @@ def test_bench_reads_the_perfbench_result_line():
                             "metrics": metrics}) + "\n")
     assert module.parse_result(stdout) == {"correct": True, "attempted": 1785,
                                            "failed": 0, "metrics": metrics}
+
+
+TRACER_CONTRACT = """
+import importlib.util, json, sys
+spec = importlib.util.spec_from_file_location("tracing", sys.argv[1])
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+import leakline
+import leakline.cli
+tracer = tracing.Tracer()
+tracer.install()
+tracer.uninstall()
+print(json.dumps([len(tracing.TIMED) + len(tracing.COUNTED), tracer.absent]))
+"""
+
+
+def test_benchmark_tracer_finds_every_layer_function():
+    # perfbench imports leakline and leakline.cli, then wraps its layer
+    # functions by module and name; a missing one drops its metrics
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    result = subprocess.run([sys.executable, "-c", TRACER_CONTRACT,
+                             str(REPO / "perfbench" / "tracing.py")],
+                            env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    count, absent = json.loads(result.stdout)
+    assert count == 22 and absent == []
