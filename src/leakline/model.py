@@ -10,7 +10,7 @@ expansion is evaluated here with controlled truncation.
 
 pressure_field is the one evaluator, over a whole (times x xs) grid per call;
 pressure_profile, transient_pressure, inlet_pressure and outlet_pressure are views of it.
-detection's root search repeats its steps at the two ends, with its warnings.
+detection's root search repeats its steps, and steady_pressure's, at the two ends.
 steady_pressure is the one home of the linear pre-event profile, which the
 series and the finite-difference oracle both add their deviation to.
 
