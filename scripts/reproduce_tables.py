@@ -36,7 +36,7 @@ def main() -> None:
                                    run.times(), quantum=100.0)
         print(f"\n=== {name}  (ell2 = {sc.leak.ell2:g} m, fixation {t_fix:g} s) ===")
         print(f"{'t_s':>6}  {'P_in':>7}  {'P_out':>7}  {'ell2_est_m':>11}  {'rel_err/L':>9}")
-        for t, p_in, p_out in traj.samples:
+        for t, p_in, p_out in traj.samples.tolist():
             est = estimate_position(sc.spec, traj, t, eps_meas=DEFAULT_EPS_MEAS)
             if est.ell2_est is None:
                 loc, err = "-", "-"

@@ -92,9 +92,8 @@ def cmd_simulate(args) -> int:
 
 def _trajectory_for(sc: Scenario, args) -> detection.PressureTrajectory:
     if args.observed is not None:
-        rows = monitor_mod.read_pressure_stream(args.observed).tolist()
-        return detection.PressureTrajectory(
-            samples=tuple(map(tuple, rows)), baseline=(sc.spec.p_inlet_0, sc.spec.p_outlet_0))
+        rows = monitor_mod.read_pressure_stream(args.observed)
+        return detection.PressureTrajectory(rows, (sc.spec.p_inlet_0, sc.spec.p_outlet_0))
     leak, run = sc.require_leak(), sc.require_run()
     cfg = _series_override(args, sc.series)
     return detection.simulate_trajectory(sc.spec, leak, cfg, run.times())
@@ -140,7 +139,7 @@ def cmd_curves(args) -> int:
         cfg = _series_override(args, sc.series)
         traj = detection.simulate_trajectory(sc.spec, leak, cfg, run.times())
         p1, p2 = traj.baseline
-        for t, p_in, p_out in traj.samples:
+        for t, p_in, p_out in traj.samples.tolist():
             rp = detection.ratio_from_deviations(p1 - p_in, p2 - p_out, t, args.eps_meas)
             value = f"{rp.p:.9g}" if rp.defined else ""
             lines.append(f"{sc.name},{t:g},{value}")

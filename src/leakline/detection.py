@@ -21,10 +21,8 @@ from __future__ import annotations
 
 import enum
 import math
-from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -117,48 +115,34 @@ class ThetaValue(NamedTuple):
     in_range: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PressureTrajectory:
     """Sampled end-pressure histories with their pre-event baseline."""
 
-    samples: tuple[tuple[float, float, float], ...]  # (t, p_inlet, p_outlet)
-    baseline: tuple[float, float]                    # (P1, P2)
+    samples: np.ndarray  # any (t, p_inlet, p_outlet) triples; kept as a read-only (n, 3) copy
+    baseline: tuple[float, float]  # (P1, P2)
 
     def __post_init__(self):
         p1, p2 = self.baseline
         if not (p1 > p2 > 0 and math.isfinite(p1)):
             raise ValueError("baseline must satisfy P1 > P2 > 0")
-        if not self.samples:
+        if len(self.samples) == 0:
             raise ValueError("need at least one sample")
-        if not all(math.isfinite(v) for s in self.samples for v in s):
+        try:  # no dtype=float here: it would read the string '54e4' as a number
+            rows = np.array(self.samples)
+        except ValueError:  # ragged rows
+            rows = None
+        if rows is None or rows.dtype.kind not in "iuf" or rows.shape[1:] != (3,):
+            raise ValueError("samples must be (t, p_inlet, p_outlet) triples of numbers")
+        rows = rows.astype(np.float64, copy=False)
+        rows.flags.writeable = False
+        object.__setattr__(self, "samples", rows)
+        if not np.isfinite(rows).all():
             raise ValueError("times and pressures must be finite")
-        times = self.times
-        if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
+        if not (np.diff(rows[:, 0]) > 0).all():
             raise ValueError("sample times must be strictly increasing")
-        if any(s[1] <= 0 or s[2] <= 0 for s in self.samples):
+        if not (rows[:, 1:] > 0).all():
             raise ValueError("pressures must be positive")
-
-    @cached_property
-    def times(self) -> tuple[float, ...]:
-        return tuple(s[0] for s in self.samples)
-
-    @property
-    def span(self) -> tuple[float, float]:
-        return self.samples[0][0], self.samples[-1][0]
-
-    def at(self, t: float) -> tuple[float, float]:
-        """Inlet/outlet pressures of the sample at time t (exact lookup)."""
-        times = self.times
-        i = bisect_left(times, t - 1e-9 * max(1.0, abs(t)))
-        if i < len(times) and math.isclose(times[i], t, rel_tol=1e-9, abs_tol=1e-9):
-            return self.samples[i][1], self.samples[i][2]
-        raise ValueError(f"no sample at t = {t:.6g} s")
-
-    def median_step(self) -> float:
-        times = self.times
-        if len(times) < 2:
-            raise ValueError("need at least two samples")
-        return float(np.median(np.diff(times)))
 
 
 def simulate_trajectory(spec: PipelineSpec, scenario: LeakScenario,
@@ -167,14 +151,14 @@ def simulate_trajectory(spec: PipelineSpec, scenario: LeakScenario,
     """Sample the analytical model into a trajectory.
 
     quantum, when given, rounds the pressures to that resolution (100 Pa
-    mimics a gauge reading two decimals in units of 1e4 Pa).
+    mimics a gauge reading two decimals in units of 1e4 Pa); ties go to even.
     """
-    pins = pressure_field(spec, scenario, cfg, [0.0], times)[:, 0].tolist()
-    pouts = pressure_field(spec, scenario, cfg, [spec.length], times)[:, 0].tolist()
+    # one call per end, on its own line: each keeps its own warning location
+    pins = pressure_field(spec, scenario, cfg, [0.0], times)[:, 0]
+    pouts = pressure_field(spec, scenario, cfg, [spec.length], times)[:, 0]
     if quantum is not None:
-        pins = [round(p / quantum) * quantum for p in pins]
-        pouts = [round(p / quantum) * quantum for p in pouts]
-    return PressureTrajectory(samples=tuple(zip(map(float, times), pins, pouts)),
+        pins, pouts = (np.round(p / quantum) * quantum for p in (pins, pouts))
+    return PressureTrajectory(samples=np.column_stack((times, pins, pouts)),
                               baseline=(spec.p_inlet_0, spec.p_outlet_0))
 
 
@@ -200,10 +184,13 @@ def ratio_from_deviations(dev_inlet: float, dev_outlet: float, t: float,
 def pressure_ratio(traj: PressureTrajectory, t: float,
                    eps_meas: float = DEFAULT_EPS_MEAS) -> RatioPoint:
     """Drop ratio at sample time t; undefined below the measurability floor."""
-    lo, hi = traj.span
-    if not lo <= t <= hi:
-        raise ValueError(f"t = {t:.6g} outside trajectory span [{lo:.6g}, {hi:.6g}]")
-    p_in, p_out = traj.at(t)
+    ts = traj.samples[:, 0]
+    if not ts[0] <= t <= ts[-1]:
+        raise ValueError(f"t = {t:.6g} outside trajectory span [{ts[0]:.6g}, {ts[-1]:.6g}]")
+    i = int(np.searchsorted(ts, t - 1e-9 * max(1.0, abs(t))))
+    if not (i < len(ts) and math.isclose(ts[i], t, rel_tol=1e-9, abs_tol=1e-9)):
+        raise ValueError(f"no sample at t = {t:.6g} s")
+    _, p_in, p_out = traj.samples[i].tolist()
     p1, p2 = traj.baseline
     return ratio_from_deviations(p1 - p_in, p2 - p_out, t, eps_meas)
 
@@ -431,11 +418,11 @@ def fixation_time_empirical(traj: PressureTrajectory,
     last defined sample when no point is fixed, and returns None when the
     ratio is never defined.
     """
-    window = traj.median_step() if len(traj.samples) > 1 else 0.0
+    window = float(np.median(np.diff(traj.samples[:, 0]))) if len(traj.samples) > 1 else 0.0
     rule = EmpiricalFixation(window)
     p1, p2 = traj.baseline
     last = None
-    for t, p_in, p_out in traj.samples:
+    for t, p_in, p_out in traj.samples.tolist():
         rp = ratio_from_deviations(p1 - p_in, p2 - p_out, t, eps_meas)
         fixed = rule.push(rp)
         if fixed is not None:

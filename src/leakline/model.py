@@ -32,6 +32,9 @@ PI_SQ = math.pi**2
 # Fraction of the fundamental decay time below which the cosine series is not
 # trusted and evaluation falls back to the exact t=0 profile.
 EARLY_TIME_FRACTION = 1e-3
+# Largest n_max.  At any trusted time n^2 * rate * t >= n^2 * 1e-3, so every term
+# with n >= 864 underflows to exactly 0; a larger order would only allocate more.
+N_MAX_LIMIT = 4096
 
 
 class SeriesPrecisionWarning(UserWarning):
@@ -139,6 +142,8 @@ class SeriesConfig:
             raise ValueError("tail_tol must be finite")
         if not isinstance(self.n_max, numbers.Integral):
             raise ValueError(f"n_max must be an integer, got {self.n_max!r}")
+        if self.n_max > N_MAX_LIMIT:
+            raise ValueError(f"n_max must be <= {N_MAX_LIMIT}, got {self.n_max}")
 
 
 DEFAULT_SERIES = SeriesConfig()

@@ -395,6 +395,17 @@ class TestUsageErrors:
         assert code == EXIT_VALIDATION
         assert out == "" and err == f"error: {flag} {message}\n"
 
+    @pytest.mark.parametrize("command,extra", [
+        ("simulate", []), ("locate", ["--at", "300"]), ("curves", []),
+        ("verify", ["--nx", "100"]),
+    ])
+    def test_nmax_above_limit_exit_one(self, capsys, scenario_path, command, extra):
+        # rejected while building the series config, before any array is sized by it
+        code, out, err = run(capsys, command, scenario_path("pipeline_b_start"), *extra,
+                             "--nmax", "1000000000000")
+        assert code == EXIT_VALIDATION
+        assert out == "" and err == "error: n_max must be <= 4096, got 1000000000000\n"
+
     @pytest.mark.parametrize("points", ["0", "-3"])
     def test_field_points_below_one_exit_one(self, capsys, scenario_path, tmp_path, points):
         field = tmp_path / "field.csv"

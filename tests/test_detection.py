@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -38,7 +39,9 @@ from leakline.model import (
     early_time_floor,
     pressure_profile,
 )
+from leakline.monitor import read_pressure_stream
 from leakline.oracle import FdGrid, fd_solve
+from leakline.scenario import load_scenario
 
 from reference_tables import (
     LOCALIZATION_A,
@@ -106,11 +109,53 @@ class TestPressureRatio:
         with pytest.raises(ValueError, match="span"):
             pressure_ratio(traj_a(0.5e4), 1200.0)
 
-    def test_times_built_once(self):
-        # a ratio scan over the whole trajectory must not rebuild the times per lookup
+    def test_samples_are_one_read_only_array(self, tmp_path):
+        ref = traj_a(0.5e4)  # built from a tuple of tuples
+        path = tmp_path / "observed.csv"
+        path.write_text("t_seconds,p_inlet_pa,p_outlet_pa\n" + "".join(
+            f"{t!r},{a!r},{b!r}\n" for t, a, b in ref.samples.tolist()))
+        stream = read_pressure_stream(path)
+        for samples in (list(stream), stream):  # NumPy rows, then the reader's array
+            traj = PressureTrajectory(samples=samples, baseline=BASE_A)
+            assert traj.samples.dtype == np.float64 and traj.samples.shape == (len(stream), 3)
+            assert not traj.samples.flags.writeable
+            assert np.array_equal(traj.samples, ref.samples)
+        assert stream.flags.writeable  # the caller's array is copied, not frozen
+        with pytest.raises(ValueError, match="read-only"):
+            ref.samples[0, 1] = 0.0
+
+    @pytest.mark.parametrize("samples", [
+        ((0.0, 54e4),), ((0.0, 54e4, 24e4, 1.0),), ((0.0, 54e4, 24e4), (60.0, 54e4)),
+        ((0.0, "54e4", 24e4),),
+    ], ids=["2-field", "4-field", "ragged", "string"])
+    def test_trajectory_rejects_rows_that_are_not_numeric_triples(self, samples):
+        with pytest.raises(ValueError, match=r"^samples must be \(t, p_inlet, p_outlet\) "
+                                             r"triples of numbers$"):
+            PressureTrajectory(samples=samples, baseline=BASE_A)
+
+    def test_lookup_is_exact_up_to_round_off(self):
         traj = traj_a(0.5e4)
-        assert traj.times is traj.times
-        assert traj.at(traj.times[-1]) == traj.samples[-1][1:]
+        assert pressure_ratio(traj, 300.0 * (1 + 1e-12)).p == pressure_ratio(traj, 300.0).p
+        with pytest.raises(ValueError, match="no sample at t = 301 s"):
+            pressure_ratio(traj, 301.0)
+
+
+class TestSimulateTrajectory:
+    @pytest.mark.parametrize("name", ["pipeline_a_start", "pipeline_a_mid", "pipeline_a_end",
+                                      "pipeline_b_start", "pipeline_b_mid", "pipeline_b_end"])
+    def test_quantum_rounds_like_python_round(self, scenario_path, name):
+        # np.round and round both take ties to even, element for element
+        sc = load_scenario(scenario_path(name))
+        args = (sc.spec, sc.require_leak(), sc.series, sc.require_run().times())
+        exact = simulate_trajectory(*args).samples.tolist()
+        gauge = simulate_trajectory(*args, quantum=100).samples.tolist()
+        assert gauge == [[t, round(a / 100) * 100, round(b / 100) * 100] for t, a, b in exact]
+
+    def test_quantum_tie_goes_to_even(self):
+        # at t = 0 the inlet is exactly 14e4 Pa, 2.5 quanta of 56e3 Pa
+        leak = LeakScenario(ell2=1.5e4, g_leak=10.0)
+        traj = simulate_trajectory(PIPELINE_B, leak, CFG, [0.0], quantum=56e3)
+        assert traj.samples.tolist() == [[0.0, 2 * 56e3, 2 * 56e3]]
 
 
 class TestPositionGain:

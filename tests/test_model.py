@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leakline.model import (
+    N_MAX_LIMIT,
     PIPELINE_A,
     PIPELINE_B,
     LeakScenario,
@@ -93,6 +94,21 @@ class TestSpecValidation:
     def test_series_config_non_integer_n_max_rejected(self, n_max):
         with pytest.raises(ValueError, match="n_max must be an integer"):
             SeriesConfig(n_max=n_max)
+
+    @pytest.mark.parametrize("n_max", [N_MAX_LIMIT + 1, 10**12])
+    def test_series_config_n_max_above_limit_rejected(self, n_max):
+        with pytest.raises(ValueError, match=f"n_max must be <= 4096, got {n_max}$"):
+            SeriesConfig(n_max=n_max)
+
+    def test_series_config_n_max_limit_accepted(self):
+        assert SeriesConfig(n_max=N_MAX_LIMIT).n_max == 4096
+
+    @pytest.mark.parametrize("spec", [PIPELINE_A, PIPELINE_B], ids=["A", "B"])
+    def test_terms_beyond_864_vanish_at_trusted_times(self, spec):
+        # why the limit costs nothing: at the early-time floor, the smallest
+        # trusted t, mode 864 already underflows to exactly 0 (863 does not)
+        rt = decay_rate(spec) * early_time_floor(spec)
+        assert math.exp(-864 * 864 * rt) == 0.0 < math.exp(-863 * 863 * rt)
 
 
 class TestDecayRate:

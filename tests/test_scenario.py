@@ -178,6 +178,7 @@ class TestFieldErrors:
         ("ell2 = 0.5e4", "ell2 = 4e4",
          "[leak]: ell2 = 40000 m must lie strictly inside (0, 30000)"),
         ("n_max = 32", "n_max = 0", "[series]: n_max must be >= 1"),
+        ("n_max = 32", "n_max = 5000", "[series]: n_max must be <= 4096, got 5000"),
         ("step = 60", "step = inf", "[run]: step must be finite"),
         ("ell2 = 0.5e4", "ell2 = 0.5e4\ng_leak = inf", "[leak]: g_leak must be finite"),
         ("n_max = 32", "n_max = 32\ntail_tol = inf", "[series]: tail_tol must be finite"),
