@@ -5,18 +5,23 @@
 
 Runs `perfbench/run.py --trace 0` once for each workload BENCHMARK.json
 names, at the fixed seed SEED and for the benchmark's own run length, and
-writes each workload's result (correctness counts and end-to-end metrics)
-with the git commit and the Python and NumPy versions to BENCH_<N>.json at
-the root of the checkout.  Takes about half a minute per workload.
+the Tier-1 test suite once.  Writes each workload's result (correctness
+counts and end-to-end metrics), the suite's wall time and its passed,
+failed and error counts, with the git commit and the Python and NumPy
+versions, to BENCH_<N>.json at the root of the checkout.  Takes about half
+a minute per workload.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
+import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy
@@ -38,6 +43,26 @@ def run_workload(name: str, seconds: float) -> dict:
     return parse_result(proc.stdout)
 
 
+def parse_pytest_summary(stdout: str) -> dict:
+    """Passed, failed and error counts from the summary line `pytest -q` ends with."""
+    summary = (stdout.strip().splitlines() or [""])[-1]
+    counts = dict.fromkeys(("passed", "failed", "errors"), 0)
+    for number, outcome in re.findall(r"(\d+) (passed|failed|errors?)\b", summary):
+        counts["errors" if outcome.startswith("error") else outcome] = int(number)
+    return counts
+
+
+def run_tier1() -> dict:
+    """Run the Tier-1 suite (ROADMAP.md) once; its wall time and counts."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q",
+                           "--continue-on-collection-errors"],
+                          cwd=ROOT, env=env, capture_output=True, text=True)
+    return {"wall_s": time.perf_counter() - t0, **parse_pytest_summary(proc.stdout)}
+
+
 def git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True,
                           check=True).stdout.strip()
@@ -56,6 +81,7 @@ def main() -> int:
         "python": platform.python_version(), "numpy": numpy.__version__,
         "seed": SEED, "seconds": seconds,
         "workloads": {w["name"]: run_workload(w["name"], seconds) for w in bench["workloads"]},
+        "tier1": run_tier1(),
     }
     out = ROOT / f"BENCH_{args.n}.json"
     out.write_text(json.dumps(record, indent=1) + "\n", encoding="ascii")

@@ -81,12 +81,12 @@ def cmd_simulate(args) -> int:
     if args.field is not None:
         xs = np.linspace(0.0, sc.spec.length, args.field_points)
         field = pressure_field(sc.spec, leak, cfg, xs, times)
-        x_labels = [f"{x:g}" for x in xs]
-        rows = ["t_seconds,x_m,pressure_pa"]
-        for t, profile in zip(times, field.tolist()):
-            t_label = f"{t:g}"
-            rows.extend(f"{t_label},{x},{p!r}" for x, p in zip(x_labels, profile))
-        Path(args.field).write_text("\n".join(rows) + "\n", encoding="ascii")
+        # one instant at a time: the cells joined by its t label, % filling in repr(p)
+        cells = ["", *[f",{x:g},%r\n" for x in xs]]
+        with open(args.field, "w", encoding="ascii") as dump:
+            dump.write("t_seconds,x_m,pressure_pa\n")
+            for t, profile in zip(times, field):
+                dump.write(f"{t:g}".join(cells) % tuple(profile.tolist()))
     return EXIT_OK
 
 

@@ -141,8 +141,10 @@ class PressureTrajectory:
             raise ValueError("times and pressures must be finite")
         if not (np.diff(rows[:, 0]) > 0).all():
             raise ValueError("sample times must be strictly increasing")
-        if not (rows[:, 1:] > 0).all():
-            raise ValueError("pressures must be positive")
+        i, end = divmod(int((rows[:, 1:] <= 0).argmax()), 2)
+        if not rows[i, end + 1] > 0:  # the first failing sample, inlet before outlet
+            raise ValueError(f"pressures must be positive: {('inlet', 'outlet')[end]} "
+                             f"{rows[i, end + 1]:.6g} Pa at t = {rows[i, 0]:.6g} s")
 
 
 def simulate_trajectory(spec: PipelineSpec, scenario: LeakScenario,

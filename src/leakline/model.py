@@ -238,7 +238,11 @@ def pressure_field(spec: PipelineSpec, scenario: LeakScenario, cfg: SeriesConfig
     # one fixed operation order, -n * n * rate * t and steady - drain - static
     # + modes: tests/golden pins the last bits of the printed pressures
     exponent, n_sq = -n * n * rate, n * n
-    cosines = np.cos(np.pi * np.outer(xs, n) / L)
+    # cos(pi * (x n) / L) in one buffer; IEEE products commute, so the bits hold
+    cosines = np.outer(xs, n)
+    cosines *= np.pi
+    cosines /= L
+    np.cos(cosines, out=cosines)
     leak_cosines = np.cos(np.pi * n * ell2 / L)
     amp = 2.0 * spec.two_a * L * g / PI_SQ
     as_printed = cfg.variant is Variant.AS_PRINTED
@@ -254,10 +258,14 @@ def pressure_field(spec: PipelineSpec, scenario: LeakScenario, cfg: SeriesConfig
         kernel = neumann_kernel(xs, ell2, L)
     static, drain_rate = spec.two_a * g * kernel, spec.sound_speed**2 * g / L
 
-    early = []
-    for row, t in enumerate(times):
-        if untrusted_time(spec, scenario, cfg, t, floor):
-            early.append(row)
+    # series_tail falls with t: the earliest trusted time decides if any row warns
+    below = ts < floor
+    trusted = ts[~below]
+    tail_warns = trusted.size > 0 and series_tail(
+        spec, scenario, cfg.n_max, float(trusted.min())) > cfg.tail_tol
+    for t, early in zip(times, below.tolist()):
+        if early or tail_warns:
+            untrusted_time(spec, scenario, cfg, t, floor)
 
     # All rows at once; a row below the floor gets finite, untrusted series
     # terms and is then reset to the steady profile.
@@ -274,8 +282,7 @@ def pressure_field(spec: PipelineSpec, scenario: LeakScenario, cfg: SeriesConfig
         field = steady - drain + startup - static + modes - flipped
     else:
         field = steady - drain - static + modes
-    for row in early:
-        field[row] = steady
+    field[below] = steady
     return field
 
 

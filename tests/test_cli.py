@@ -1,13 +1,16 @@
 from __future__ import annotations
 
 import re
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from leakline.cli import EXIT_NO_SIGNAL, EXIT_OK, EXIT_TOLERANCE, EXIT_VALIDATION, main
 from leakline.detection import PressureTrajectory, estimate_position
-from leakline.model import PIPELINE_A
+from leakline.model import PIPELINE_A, SeriesConfig, pressure_field
+from leakline.scenario import load_scenario
 
 GOLDEN = Path(__file__).parent / "golden"
 BUNDLED = ["pipeline_a_start", "pipeline_a_mid", "pipeline_a_end",
@@ -94,6 +97,54 @@ class TestSimulate:
                          "--field", str(field))
         assert code == EXIT_OK
         assert field.read_bytes() == (GOLDEN / "pipeline_b_mid.field.csv").read_bytes()
+
+    @pytest.mark.filterwarnings("ignore::leakline.model.SeriesPrecisionWarning")
+    @pytest.mark.parametrize("points", [1, 2, 7, 2000])
+    @pytest.mark.parametrize("name,edit,nmax", [
+        ("pipeline_a_start", None, None),
+        ("pipeline_b_end", None, None),
+        # the first instant, 0.5 s, lies below line A's early-time floor of 0.69 s
+        ("pipeline_a_mid", ("t_start = 100", "t_start = 0.5"), None),
+        ("pipeline_b_start", None, 2),
+    ], ids=["A", "B", "A-early", "B-nmax2"])
+    def test_field_dump_equals_per_value_formatting(self, capsys, scenario_path, tmp_path,
+                                                    points, name, edit, nmax):
+        path = tmp_path / f"{name}.cfg"
+        text = Path(scenario_path(name)).read_text()
+        path.write_text(text.replace(*edit) if edit else text)
+        field = tmp_path / "field.csv"
+        extra = ["--nmax", str(nmax)] if nmax else []
+        code, _, _ = run(capsys, "simulate", str(path), "--field", str(field),
+                         "--field-points", str(points), *extra)
+        assert code == EXIT_OK
+        sc = load_scenario(path)
+        cfg = SeriesConfig(n_max=nmax or sc.series.n_max, tail_tol=sc.series.tail_tol)
+        times = sc.run.times()
+        xs = np.linspace(0.0, sc.spec.length, points).tolist()
+        profiles = pressure_field(sc.spec, sc.leak, cfg, xs, times).tolist()
+        rows = ["t_seconds,x_m,pressure_pa"] + [
+            f"{t:g},{x:g},{p!r}" for t, profile in zip(times, profiles)
+            for x, p in zip(xs, profile)]
+        assert field.read_bytes() == ("\n".join(rows) + "\n").encode("ascii")
+
+    def test_field_dump_memory_is_per_instant(self, capsys, scenario_path, tmp_path):
+        # 2000 points x 60 instants: one instant's text at a time peaks near
+        # 4 MB, while the row strings of the whole dump take about 19 MB
+        path = tmp_path / "long.cfg"
+        path.write_text(Path(scenario_path("pipeline_b_mid")).read_text()
+                        .replace("t_end = 600", "t_end = 3600"))
+        field = tmp_path / "field.csv"
+        argv = ["simulate", str(path), "--out", str(tmp_path / "sim.txt"),
+                "--field", str(field), "--field-points", "2000"]
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        assert field.read_bytes().count(b"\n") == 1 + 60 * 2000
+        assert peak < 8e6
 
     def test_field_dump(self, capsys, scenario_path, tmp_path):
         field = tmp_path / "field.csv"
@@ -405,6 +456,17 @@ class TestUsageErrors:
                              "--nmax", "1000000000000")
         assert code == EXIT_VALIDATION
         assert out == "" and err == "error: n_max must be <= 4096, got 1000000000000\n"
+
+    @pytest.mark.parametrize("command,extra", [("curves", []), ("locate", ["--at", "120"])])
+    def test_non_positive_pressure_named_exit_one(self, capsys, scenario_path, tmp_path,
+                                                  command, extra):
+        # g_leak = 400 outgrows line B's linear model: the inlet is negative at 60 s
+        bad = tmp_path / "overdrawn.cfg"
+        bad.write_text(Path(scenario_path("pipeline_b_start")).read_text()
+                       .replace("ell2 = 0.5e4", "ell2 = 0.5e4\ng_leak = 400"))
+        code, out, err = run(capsys, command, str(bad), *extra)
+        assert code == EXIT_VALIDATION and out == ""
+        assert err == "error: pressures must be positive: inlet -113469 Pa at t = 60 s\n"
 
     @pytest.mark.parametrize("points", ["0", "-3"])
     def test_field_points_below_one_exit_one(self, capsys, scenario_path, tmp_path, points):

@@ -133,6 +133,16 @@ class TestPressureRatio:
                                              r"triples of numbers$"):
             PressureTrajectory(samples=samples, baseline=BASE_A)
 
+    @pytest.mark.parametrize("samples,where", [
+        (((0.0, 54e4, 24e4), (60.0, 53e4, -2.5), (120.0, -1.0, -1.0)), "outlet -2.5 Pa at t = 60 s"),
+        (((0.0, 54e4, 24e4), (60.0, 0.0, 0.0)), "inlet 0 Pa at t = 60 s"),
+        (((30.5, -1234567.0, 24e4),), "inlet -1.23457e+06 Pa at t = 30.5 s"),
+    ], ids=["outlet", "both-ends", "first-sample"])
+    def test_trajectory_names_the_first_non_positive_pressure(self, samples, where):
+        with pytest.raises(ValueError) as exc:
+            PressureTrajectory(samples=samples, baseline=BASE_A)
+        assert str(exc.value) == f"pressures must be positive: {where}"
+
     def test_lookup_is_exact_up_to_round_off(self):
         traj = traj_a(0.5e4)
         assert pressure_ratio(traj, 300.0 * (1 + 1e-12)).p == pressure_ratio(traj, 300.0).p

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -27,6 +28,7 @@ from leakline.model import (
     series_tail,
     steady_pressure,
     transient_pressure,
+    untrusted_time,
 )
 
 CFG = SeriesConfig()
@@ -277,6 +279,55 @@ class TestPressureField:
         steady = steady_pressure(PIPELINE_A, xs)
         for i in (0, 2, 3):
             assert np.array_equal(field[i], steady)
+
+    @given(spec=st.sampled_from([PIPELINE_A, PIPELINE_B]),
+           n_max=st.integers(1, 64),
+           log_scale=st.floats(-1.0, 1.0),
+           data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_warnings_match_a_check_of_every_row(self, spec, n_max, log_scale, data):
+        # pressure_field checks the tail once; a loop over every row is the reference
+        floor = early_time_floor(spec)
+        pool = (st.sampled_from([0.0, 0.5 * floor, floor]) | st.floats(0.0, floor)
+                | st.floats(floor, 5000.0))
+        times = data.draw(st.lists(pool, min_size=1, max_size=10))
+        times = data.draw(st.permutations(
+            times + data.draw(st.lists(st.sampled_from(times), max_size=4))))
+        leak = LeakScenario(ell2=0.3 * spec.length, g_leak=spec.g0)
+        # a tolerance within 10x of the tail at one trusted time, so that both
+        # outcomes occur and the earliest and latest trusted times can disagree
+        trusted = [t for t in times if t >= floor]
+        ref = data.draw(st.sampled_from(trusted)) if trusted else floor
+        tail_tol = series_tail(spec, leak, n_max, ref) * 10.0 ** log_scale or 1.0
+        cfg = SeriesConfig(n_max=n_max, tail_tol=tail_tol)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            pressure_field(spec, leak, cfg, [0.0, spec.length], times)
+            field_messages = [str(w.message) for w in caught]
+            del caught[:]
+            for t in times:
+                untrusted_time(spec, leak, cfg, t, floor)
+        assert field_messages == [str(w.message) for w in caught]
+
+    @pytest.mark.parametrize("tail_tol,warned", [
+        (100.0, []), (1.0, ["100"]), (0.01, ["300", "100", "300"])])
+    def test_tail_is_judged_at_the_earliest_trusted_time(self, tail_tol, warned):
+        # n_max = 4 on line A: the tail is 84.7 Pa at 100 s, 0.047 Pa at 300 s
+        # and 1.6e-11 Pa at 900 s, so the latest time alone would never warn
+        cfg = SeriesConfig(n_max=4, tail_tol=tail_tol)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            pressure_field(PIPELINE_A, leak_a(), cfg, [0.0], [900.0, 0.0, 300.0, 100.0, 300.0])
+        assert [re.search(r"at t = (\S+) s", str(w.message))[1] for w in caught] == warned
+
+    @pytest.mark.parametrize("spec", [PIPELINE_A, PIPELINE_B], ids=["A", "B"])
+    def test_series_tail_does_not_increase_with_t(self, spec):
+        leak = LeakScenario(ell2=0.5 * spec.length, g_leak=spec.g0)
+        ts = np.geomspace(early_time_floor(spec), 1e5, 500)
+        ts = np.sort(np.concatenate([ts, np.nextafter(ts, np.inf)])).tolist()  # ulp steps too
+        for n_max in (1, 2, 8, 64, N_MAX_LIMIT):
+            tails = [series_tail(spec, leak, n_max, t) for t in ts]
+            assert all(later <= earlier for earlier, later in zip(tails, tails[1:]))
 
     def test_long_batch_rows_equal_single_time_evaluation(self):
         # one long unsorted batch with t = 0, below-floor and repeated times

@@ -8,6 +8,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from conftest import REPLAY_DIR, REPO
 
 SCRIPTS = REPO / "scripts"
@@ -45,10 +47,15 @@ def test_reproduce_tables_runs():
     assert result.stdout.count("<- fixation") == 6
 
 
-def test_bench_reads_the_perfbench_result_line():
+def load_bench():
     spec = importlib.util.spec_from_file_location("bench", SCRIPTS / "bench.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_reads_the_perfbench_result_line():
+    module = load_bench()
     metrics = {"setup_s": {"value": 0.14, "unit": "s"},
                "peak_rss_mb": {"value": 39.9, "unit": "MB"},
                "pass_s": {"value": 0.54, "unit": "s"},
@@ -59,6 +66,19 @@ def test_bench_reads_the_perfbench_result_line():
                             "metrics": metrics}) + "\n")
     assert module.parse_result(stdout) == {"correct": True, "attempted": 1785,
                                            "failed": 0, "metrics": metrics}
+
+
+@pytest.mark.parametrize("summary,counts", [
+    ("402 passed in 12.33s", (402, 0, 0)),
+    ("2 failed, 400 passed, 3 warnings in 73.21s (0:01:13)", (400, 2, 0)),
+    ("1 failed, 399 passed, 1 skipped, 2 xfailed, 1 error in 9.50s", (399, 1, 1)),
+    ("398 passed, 2 errors in 11.02s", (398, 0, 2)),
+])
+def test_bench_reads_the_pytest_summary_line(summary, counts):
+    module = load_bench()
+    stdout = "....F....                     [100%]\n" + summary + "\n"
+    assert module.parse_pytest_summary(stdout) == dict(zip(("passed", "failed", "errors"),
+                                                           counts))
 
 
 TRACER_CONTRACT = """
