@@ -7,14 +7,16 @@ Runs `perfbench/run.py --trace 0` once for each workload BENCHMARK.json
 names, at the fixed seed SEED and for the benchmark's own run length, and
 the Tier-1 test suite once.  Writes each workload's result (correctness
 counts and end-to-end metrics), the suite's wall time and its passed,
-failed and error counts, with the git commit and the Python and NumPy
-versions, to BENCH_<N>.json at the root of the checkout.  Takes about half
-a minute per workload.
+failed and error counts, the two tracked sizes of src/leakline (its line
+count and the length of leakline.__all__), with the git commit and the
+Python and NumPy versions, to BENCH_<N>.json at the root of the checkout.
+Takes about half a minute per workload.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import os
 import platform
@@ -63,6 +65,16 @@ def run_tier1() -> dict:
     return {"wall_s": time.perf_counter() - t0, **parse_pytest_summary(proc.stdout)}
 
 
+def source_size(package: Path) -> dict:
+    """Lines of package/*.py, counted as `wc -l` counts them, and the number of
+    names in the `__all__` list that package/__init__.py assigns."""
+    lines = sum(path.read_bytes().count(b"\n") for path in package.glob("*.py"))
+    init = ast.parse((package / "__init__.py").read_text(encoding="utf-8"))
+    names = next(node.value for node in init.body if isinstance(node, ast.Assign)
+                 and [getattr(target, "id", None) for target in node.targets] == ["__all__"])
+    return {"src_lines": lines, "all_names": len(ast.literal_eval(names))}
+
+
 def git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True,
                           check=True).stdout.strip()
@@ -82,6 +94,7 @@ def main() -> int:
         "seed": SEED, "seconds": seconds,
         "workloads": {w["name"]: run_workload(w["name"], seconds) for w in bench["workloads"]},
         "tier1": run_tier1(),
+        "size": source_size(ROOT / "src" / "leakline"),
     }
     out = ROOT / f"BENCH_{args.n}.json"
     out.write_text(json.dumps(record, indent=1) + "\n", encoding="ascii")

@@ -38,7 +38,6 @@ from .model import (
     PipelineSpec,
     SeriesConfig,
     SeriesPrecisionWarning,
-    Variant,
     decay_rate,
     inlet_pressure,
     neumann_kernel,
@@ -69,7 +68,7 @@ __all__ = [
     "simulate_trajectory", "theta_from_ratio", "ConnectorValve", "IsolationPlan",
     "ValveLayout", "bounding_valves", "build_isolation_plan",
     "PIPELINE_A", "PIPELINE_B", "LeakScenario", "PipelineSpec", "SeriesConfig",
-    "SeriesPrecisionWarning", "Variant", "decay_rate", "inlet_pressure", "neumann_kernel",
+    "SeriesPrecisionWarning", "decay_rate", "inlet_pressure", "neumann_kernel",
     "outlet_pressure", "pressure_field", "pressure_profile", "steady_pressure",
     "transient_pressure", "EventKind", "FixationRule", "MonitorConfig", "MonitorEvent",
     "append_event_log", "read_pressure_stream", "run_monitor", "FdGrid", "FdField",

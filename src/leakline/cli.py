@@ -10,12 +10,13 @@ import argparse
 import functools
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 
 from . import detection, monitor as monitor_mod, oracle
-from .model import SeriesConfig, Variant, pressure_field
+from .model import SeriesConfig, pressure_field
 from .scenario import Scenario, ScenarioError, load_scenario
 
 EXIT_OK = 0
@@ -50,8 +51,7 @@ def _require_positive(flag: str, value: float) -> None:
 
 def _series_override(args, base: SeriesConfig) -> SeriesConfig:
     n_max = args.nmax if args.nmax is not None else base.n_max
-    variant = Variant(args.variant) if args.variant is not None else base.variant
-    return SeriesConfig(n_max=n_max, tail_tol=base.tail_tol, variant=variant)
+    return SeriesConfig(n_max=n_max, tail_tol=base.tail_tol)
 
 
 def _write_or_print(text: str, out: str | None) -> None:
@@ -197,8 +197,6 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_series_flags(p):
-        p.add_argument("--variant", choices=[v.value for v in Variant], default=None,
-                       help="series formulation override")
         p.add_argument("--nmax", type=int, default=None, help="series truncation order")
 
     p = sub.add_parser("simulate", help="tabulate end pressures over the run window")
@@ -245,17 +243,20 @@ def build_parser() -> _Parser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-        # looked up per call, so a rebound cmd_* (a tracing wrapper) is the one run
-        return globals()[f"cmd_{args.command}"](args)
-    except SystemExit2 as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_VALIDATION
-    except (ScenarioError, monitor_mod.StreamFormatError, monitor_mod.StreamOrderError,
-            ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    # each warning as one `warning: <message>` line, in this call only
+    with warnings.catch_warnings():
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            args = parser.parse_args(argv)
+            # looked up per call, so a rebound cmd_* (a tracing wrapper) is the one run
+            return globals()[f"cmd_{args.command}"](args)
+        except SystemExit2 as exc:
+            print(str(exc), file=sys.stderr)
+            return EXIT_VALIDATION
+        except (ScenarioError, monitor_mod.StreamFormatError, monitor_mod.StreamOrderError,
+                ValueError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

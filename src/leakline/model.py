@@ -19,7 +19,6 @@ All pressures are plain floats in Pa, lengths in m, times in s.
 
 from __future__ import annotations
 
-import enum
 import math
 import numbers
 import warnings
@@ -39,20 +38,6 @@ N_MAX_LIMIT = 4096
 
 class SeriesPrecisionWarning(UserWarning):
     """Truncated series tail exceeds the configured tolerance."""
-
-
-class Variant(str, enum.Enum):
-    """Which formulation of the transient field to evaluate.
-
-    RECONCILED is the normative model: it satisfies the steady profile at
-    t=0, conserves mass, and matches the finite-difference oracle.
-    AS_PRINTED keeps the extra base-flow start-up series and the flipped
-    sign of the downstream correction found in the source formulation; it
-    exists only so the discrepancy can be audited.
-    """
-
-    RECONCILED = "reconciled"
-    AS_PRINTED = "as_printed"
 
 
 @dataclass(frozen=True)
@@ -128,16 +113,12 @@ class SeriesConfig:
 
     n_max: int = 64
     tail_tol: float = 1.0
-    variant: Variant = Variant.RECONCILED
 
     def __post_init__(self):
         if not self.n_max >= 1:
             raise ValueError("n_max must be >= 1")
         if not self.tail_tol > 0:
             raise ValueError("tail_tol must be > 0")
-        # accept the plain string spelling as well
-        if not isinstance(self.variant, Variant):
-            object.__setattr__(self, "variant", Variant(self.variant))
         if self.tail_tol == math.inf:
             raise ValueError("tail_tol must be finite")
         if not isinstance(self.n_max, numbers.Integral):
@@ -218,8 +199,10 @@ def pressure_field(spec: PipelineSpec, scenario: LeakScenario, cfg: SeriesConfig
                    xs: np.ndarray, times: np.ndarray) -> np.ndarray:
     """Transient pressure at positions xs (m) for each of times (s).
 
-    Row i of the (len(times), len(xs)) result is the profile at times[i]; it
-    is bit-identical to a call with times[i] alone.  It is not to a call with
+    There is one formulation, steady - drain - static + modes: it meets the
+    steady profile at t = 0, conserves mass and matches the FD oracle.  Row i
+    of the (len(times), len(xs)) result is the profile at times[i]; it is
+    bit-identical to a call with times[i] alone.  It is not to a call with
     other xs, since the matrix-vector product rounds by shape.  A row below
     the early-time floor is the t=0 profile.  Each row below that floor
     (t > 0), or whose truncation tail exceeds cfg.tail_tol, warns once.
@@ -245,18 +228,7 @@ def pressure_field(spec: PipelineSpec, scenario: LeakScenario, cfg: SeriesConfig
     np.cos(cosines, out=cosines)
     leak_cosines = np.cos(np.pi * n * ell2 / L)
     amp = 2.0 * spec.two_a * L * g / PI_SQ
-    as_printed = cfg.variant is Variant.AS_PRINTED
-    if as_printed:
-        # one-sided kernel, downstream sign flipped, start-up series (8 a L g0/pi^2)
-        # sum_n cos(pi n x/L) e^{-(2n-1)^2 rate t}/(2n-1)^2 (a*L*g0 at x=0, t=0)
-        kernel = (xs * xs + ell2 * ell2) / (2.0 * L) + L / 3.0 - ell2
-        flipped = spec.two_a * g * np.where(xs > ell2, xs - ell2, 0.0)
-        odd = 2.0 * n - 1.0
-        odd_exponent, odd_sq = -odd * odd * rate, odd * odd
-        startup_amp = 4.0 * spec.two_a * L * spec.g0 / PI_SQ
-    else:
-        kernel = neumann_kernel(xs, ell2, L)
-    static, drain_rate = spec.two_a * g * kernel, spec.sound_speed**2 * g / L
+    static = spec.two_a * g * neumann_kernel(xs, ell2, L)
 
     # series_tail falls with t: the earliest trusted time decides if any row warns
     below = ts < floor
@@ -270,18 +242,13 @@ def pressure_field(spec: PipelineSpec, scenario: LeakScenario, cfg: SeriesConfig
     # All rows at once; a row below the floor gets finite, untrusted series
     # terms and is then reset to the steady profile.
     t = ts[:, None]
-    drain = drain_rate * t
+    drain = spec.sound_speed**2 * g / L * t
     weights = leak_cosines * (np.exp(exponent * t) / n_sq)
     # A stacked matmul runs the one-time matrix-vector product once per row, so
     # each row keeps the bits of a call with its time alone.  A plain 2-D
     # (rows x n) @ (n x xs) product sums in another order and does not.
     modes = amp * np.matmul(cosines, weights[:, :, None])[:, :, 0]
-    if as_printed:
-        odd_weights = np.exp(odd_exponent * t) / odd_sq
-        startup = startup_amp * np.matmul(cosines, odd_weights[:, :, None])[:, :, 0]
-        field = steady - drain + startup - static + modes - flipped
-    else:
-        field = steady - drain - static + modes
+    field = steady - drain - static + modes
     field[below] = steady
     return field
 

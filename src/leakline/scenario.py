@@ -17,7 +17,7 @@ Scenarios are section/key-value text files (configparser syntax):
     [series]                        # optional
     n_max = 64
     tail_tol = 1.0
-    variant = reconciled            # or as_printed
+    variant = reconciled            # optional; the only accepted value
 
     [valves]                        # optional; needed for isolation plans
     line = 0, 1e4, 2e4, ..., 10e4   # positions incl. both ends
@@ -28,7 +28,7 @@ Scenarios are section/key-value text files (configparser syntax):
     t_end = 900
     step = 100
 
-Every module-level invariant is re-validated at parse time and reported with
+Every module-level constraint is re-validated at parse time and reported with
 its section.key path.
 """
 
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .isolation import ConnectorValve, ValveLayout
-from .model import LeakScenario, PipelineSpec, SeriesConfig, Variant
+from .model import LeakScenario, PipelineSpec, SeriesConfig
 
 
 class ScenarioError(ValueError):
@@ -177,15 +177,12 @@ def load_scenario(path: str | Path) -> Scenario:
     series = SeriesConfig()
     if "series" in parser:
         sec = parser["series"]
-        variant_raw = _number(sec, "series", "variant", str, Variant.RECONCILED.value)
-        try:
-            variant = Variant(variant_raw)
-        except ValueError:
-            raise ScenarioError("[series].variant",
-                                f"must be one of {[v.value for v in Variant]}, "
-                                f"got {variant_raw!r}") from None
+        # one formulation; the key stays accepted because scenario files name it
+        variant = _number(sec, "series", "variant", str, "reconciled")
+        if variant != "reconciled":
+            raise ScenarioError("[series].variant", f"must be 'reconciled', got {variant!r}")
         series = _build("[series]", SeriesConfig, _number(sec, "series", "n_max", int, 64),
-                        _number(sec, "series", "tail_tol", default=1.0), variant)
+                        _number(sec, "series", "tail_tol", default=1.0))
 
     layout = None
     if "valves" in parser:

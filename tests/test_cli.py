@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import re
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -334,14 +335,13 @@ class TestVerify:
         assert code == EXIT_OK
         assert "PASS" in out
 
-    def test_as_printed_breaches_tolerance(self, capsys, scenario_path):
+    def test_tolerance_breach_exit_three(self, capsys, scenario_path):
+        # the coarse grid's own error, about 6.8e-4, against a tolerance of 1e-6
         code, out, _ = run(capsys, "verify", scenario_path("pipeline_a_start"),
-                           "--nx", "300", "--t-end", "50", "--step", "10",
-                           "--variant", "as_printed")
+                           "--nx", "300", "--t-end", "50", "--step", "10", "--tol", "1e-6")
         assert code == EXIT_TOLERANCE
         assert "FAIL" in out
-        # the report surfaces the spurious start-up inlet offset at small t
-        assert grab(r"inlet offset\s+: (\S+) Pa", out) == pytest.approx(15e4, rel=0.15)
+        assert grab(r"max rel error\s+: (\S+)", out) == pytest.approx(6.8e-4, rel=0.01)
 
     def test_zero_leak_trivial_pass(self, capsys, scenario_path, tmp_path):
         text = open(scenario_path("pipeline_a_start")).read() \
@@ -413,11 +413,29 @@ class TestMonitorCommand:
         assert err == "error: line 5: expected 3 fields, got 1\n"
 
 
+class TestWarnings:
+    @pytest.mark.parametrize("command", ["curves", "simulate"])
+    def test_one_line_per_warning(self, capsys, scenario_path, command):
+        shown = warnings.showwarning
+        code, _, err = run(capsys, command, scenario_path("pipeline_a_start"), "--nmax", "1")
+        assert code == EXIT_OK
+        lines = err.splitlines()
+        assert lines and all(re.fullmatch(r"warning: series tail .* with n_max = 1", line)
+                             for line in lines)
+        assert ".py" not in err
+        # the format is main's alone: the process-wide hook is back as it was
+        assert warnings.showwarning is shown
+
+
 class TestUsageErrors:
     def test_unknown_variant_exit_one(self, capsys, scenario_path):
-        code, _, err = run(capsys, "simulate", scenario_path("pipeline_a_start"),
-                           "--variant", "bogus")
-        assert code == EXIT_VALIDATION
+        # there is one series formulation, so no --variant flag at all
+        for variant in ("reconciled", "as_printed"):
+            code, out, err = run(capsys, "simulate", scenario_path("pipeline_a_start"),
+                                 "--variant", variant)
+            assert code == EXIT_VALIDATION
+            assert out == ""
+            assert f"error: unrecognized arguments: --variant {variant}" in err
 
     def test_missing_subcommand_argument(self, capsys):
         code, _, err = run(capsys, "locate")

@@ -17,7 +17,6 @@ from leakline.model import (
     PipelineSpec,
     SeriesConfig,
     SeriesPrecisionWarning,
-    Variant,
     decay_rate,
     early_time_floor,
     inlet_pressure,
@@ -30,6 +29,7 @@ from leakline.model import (
     transient_pressure,
     untrusted_time,
 )
+from reference_as_printed import as_printed_profile
 
 CFG = SeriesConfig()
 
@@ -242,25 +242,22 @@ def reference_profile(spec, leak, cfg, xs, t):
 
 class TestPressureField:
     @given(spec=st.sampled_from([PIPELINE_A, PIPELINE_B]),
-           variant=st.sampled_from(list(Variant)),
            theta=st.floats(0.01, 0.99),
            fracs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40),
            later=st.lists(st.floats(1.0, 3000.0), max_size=6),
            data=st.data())
     @settings(max_examples=60, deadline=None)
-    def test_rows_equal_single_time_evaluation(self, spec, variant, theta, fracs, later, data):
-        cfg = SeriesConfig(variant=variant)
+    def test_rows_equal_single_time_evaluation(self, spec, theta, fracs, later, data):
         leak = LeakScenario(ell2=theta * spec.length, g_leak=spec.g0)
         xs = np.array(fracs) * spec.length
         times = data.draw(st.permutations([0.0, 0.5 * early_time_floor(spec)] + later))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", SeriesPrecisionWarning)
-            field = pressure_field(spec, leak, cfg, xs, times)
+            field = pressure_field(spec, leak, CFG, xs, times)
             assert field.shape == (len(times), len(xs))
             for row, t in zip(field, times):
-                assert np.array_equal(row, pressure_profile(spec, leak, cfg, xs, t))
-                if variant is Variant.RECONCILED:
-                    assert np.array_equal(row, reference_profile(spec, leak, cfg, xs, t))
+                assert np.array_equal(row, pressure_profile(spec, leak, CFG, xs, t))
+                assert np.array_equal(row, reference_profile(spec, leak, CFG, xs, t))
 
     def test_one_warning_per_affected_row(self):
         floor = early_time_floor(PIPELINE_A)
@@ -339,17 +336,13 @@ class TestPressureField:
         leak = leak_b(1.2e4)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", SeriesPrecisionWarning)
-            for variant in Variant:
-                cfg = SeriesConfig(variant=variant)
-                for size in (1, 2, 101):
-                    xs = np.linspace(0.0, PIPELINE_B.length, size)
-                    field = pressure_field(PIPELINE_B, leak, cfg, xs, times)
-                    assert field.shape == (times.size, size)
-                    for row, t in zip(field, times):
-                        assert np.array_equal(row, pressure_profile(PIPELINE_B, leak, cfg, xs, t))
-                        if variant is Variant.RECONCILED:
-                            assert np.array_equal(
-                                row, reference_profile(PIPELINE_B, leak, cfg, xs, t))
+            for size in (1, 2, 101):
+                xs = np.linspace(0.0, PIPELINE_B.length, size)
+                field = pressure_field(PIPELINE_B, leak, CFG, xs, times)
+                assert field.shape == (times.size, size)
+                for row, t in zip(field, times):
+                    assert np.array_equal(row, pressure_profile(PIPELINE_B, leak, CFG, xs, t))
+                    assert np.array_equal(row, reference_profile(PIPELINE_B, leak, CFG, xs, t))
 
     def test_negative_time_rejected(self):
         for bad_t in (-1.0, math.nan, math.inf):
@@ -407,22 +400,18 @@ class TestInvariants:
 
 
 class TestAsPrinted:
+    """The source formulation's discrepancy, against tests/reference_as_printed.py."""
+
     def test_inlet_offset_near_aLg0_at_small_t(self):
-        cfg = SeriesConfig(variant=Variant.AS_PRINTED)
-        audited = transient_pressure(PIPELINE_A, leak_a(), cfg, 0.0, 10.0)
+        audited = as_printed_profile(PIPELINE_A, leak_a(), CFG, [0.0], 10.0)[0]
         normative = transient_pressure(PIPELINE_A, leak_a(), CFG, 0.0, 10.0)
         expected = 0.5 * PIPELINE_A.two_a * PIPELINE_A.length * PIPELINE_A.g0
         assert audited - normative == pytest.approx(expected, rel=0.10)
 
     def test_downstream_sign_flip(self):
-        cfg = SeriesConfig(variant=Variant.AS_PRINTED)
         x = 9e4
-        audited = transient_pressure(PIPELINE_A, leak_a(), cfg, x, 100.0)
+        audited = as_printed_profile(PIPELINE_A, leak_a(), CFG, [x], 100.0)[0]
         normative = transient_pressure(PIPELINE_A, leak_a(), CFG, x, 100.0)
         flip = 2.0 * PIPELINE_A.two_a * 30.0 * (x - 0.5e4)
         startup_remnant = audited - normative + flip
         assert abs(startup_remnant) < 0.5 * PIPELINE_A.two_a * PIPELINE_A.length * 30.0
-
-    def test_variant_accepts_string(self):
-        cfg = SeriesConfig(variant="as_printed")
-        assert cfg.variant is Variant.AS_PRINTED

@@ -8,7 +8,6 @@ from leakline.model import (
     PIPELINE_B,
     LeakScenario,
     SeriesConfig,
-    Variant,
     steady_pressure,
 )
 from leakline.oracle import (
@@ -16,6 +15,7 @@ from leakline.oracle import (
     compare_with_series,
     fd_solve,
 )
+from reference_as_printed import as_printed_profile
 
 CFG = SeriesConfig()
 LEAK_A = LeakScenario(ell2=0.5e4, g_leak=30.0)
@@ -122,15 +122,19 @@ class TestCompare:
         assert errors[0] > errors[1] > errors[2]
 
     def test_as_printed_fails_against_oracle(self):
-        cfg = SeriesConfig(variant=Variant.AS_PRINTED)
-        grid = FdGrid(300, 100.0)
-        report = compare_with_series(PIPELINE_A, LEAK_A, grid, cfg,
-                                     output_times=[10.0, 50.0, 100.0])
-        assert not report.passed
+        # compare_with_series' check, on tests/reference_as_printed.py
+        field = fd_solve(PIPELINE_A, LEAK_A, FdGrid(300, 100.0), [10.0, 50.0, 100.0])
+        audited = np.array([as_printed_profile(PIPELINE_A, LEAK_A, CFG, field.x, t)
+                            for t in field.times])
+        diff = audited - field.pressures
+        assert (np.abs(diff) / np.abs(audited)).max() > 1e-3
         # the spurious start-up series shows up as an inlet offset of order
         # 0.5 * two_a * L * g0 at small times
         expected = 0.5 * PIPELINE_A.two_a * PIPELINE_A.length * PIPELINE_A.g0
-        assert report.inlet_offset_first == pytest.approx(expected, rel=0.15)
+        assert diff[0, 0] == pytest.approx(expected, rel=0.15)
+        # the reconciled series passes the same check on the same grid
+        assert compare_with_series(PIPELINE_A, LEAK_A, FdGrid(300, 100.0), CFG,
+                                   output_times=[10.0, 50.0, 100.0]).max_rel < 1e-3
 
     def test_output_times_beyond_horizon_rejected(self):
         grid = FdGrid(200, 100.0)

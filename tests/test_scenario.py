@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from leakline.model import Variant
+from leakline.model import SeriesConfig
 from leakline.scenario import ScenarioError, load_scenario
 
 VALID = """
@@ -19,7 +19,7 @@ ell2 = 0.5e4
 
 [series]
 n_max = 32
-variant = as_printed
+variant = reconciled
 
 [valves]
 line = 0, 1.5e4, 3e4
@@ -44,7 +44,7 @@ class TestLoading:
         assert sc.spec.length == 3e4
         assert sc.leak.g_leak == sc.spec.g0  # defaults to the base flux
         assert sc.series.n_max == 32
-        assert sc.series.variant is Variant.AS_PRINTED
+        assert sc.series == SeriesConfig(n_max=32)
         assert sc.layout.length == 3e4
         assert sc.run.times()[0] == 60.0 and sc.run.times()[-1] == 600.0
 
@@ -94,9 +94,11 @@ class TestFieldErrors:
             load_scenario(write(tmp_path, text))
 
     def test_bad_variant(self, tmp_path):
-        text = VALID.replace("variant = as_printed", "variant = wrong")
+        # one series formulation: `variant` may be left out, and `as_printed` no longer loads
+        sc = load_scenario(write(tmp_path, VALID.replace("variant = reconciled\n", "")))
+        assert sc.series == SeriesConfig(n_max=32)
         with pytest.raises(ScenarioError, match=r"\[series\].variant"):
-            load_scenario(write(tmp_path, text))
+            load_scenario(write(tmp_path, VALID.replace("= reconciled", "= as_printed")))
 
     def test_inconsistent_profile_reported(self, tmp_path):
         text = VALID.replace("p2 = 11e4", "p2 = 12e4")
@@ -151,8 +153,10 @@ class TestFieldErrors:
         ("n_max = 32", "n_max = 3.5", "[series].n_max: not an integer: '3.5'"),
         ("n_max = 32", "n_max = 32\ntail_tol = tight",
          "[series].tail_tol: not a number: 'tight'"),
-        ("variant = as_printed", "variant = wrong",
-         "[series].variant: must be one of ['reconciled', 'as_printed'], got 'wrong'"),
+        ("variant = reconciled", "variant = wrong",
+         "[series].variant: must be 'reconciled', got 'wrong'"),
+        ("variant = reconciled", "variant = as_printed",
+         "[series].variant: must be 'reconciled', got 'as_printed'"),
         ("p2 = 11e4", "p2 = 12e4",
          "[pipeline]: inconsistent steady profile: p_inlet_0 - two_a*g0*length = "
          "110000 Pa but p_outlet_0 = 120000 Pa"),
@@ -184,7 +188,7 @@ class TestFieldErrors:
         ("n_max = 32", "n_max = 32\ntail_tol = inf", "[series]: tail_tol must be finite"),
         ("p1 = 14e4", "p1 = 14e4 %",
          "[pipeline].p1: bad interpolation: '%' must be followed by '%' or '(', found: '%'"),
-        ("variant = as_printed", "variant = as_printed%",
+        ("variant = reconciled", "variant = reconciled%",
          "[series].variant: bad interpolation: '%' must be followed by '%' or '(', "
          "found: '%'"),
         ("connectors = c1:0.75e4, c2:2.25e4", "connectors = c1:50%",

@@ -81,6 +81,30 @@ def test_bench_reads_the_pytest_summary_line(summary, counts):
                                                            counts))
 
 
+def test_bench_counts_package_lines_and_all_names(tmp_path):
+    module = load_bench()
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "__init__.py").write_text('"""Doc."""\nfrom .a import f\n\n'
+                                         '__all__ = [\n    "f", "g",\n    "h",\n]\n')
+    (package / "a.py").write_text("def f():\n    return 1\n")
+    (package / "b.py").write_text("x = 1")  # no final newline: wc -l counts 0
+    (package / "notes.txt").write_text("not\ncounted\n")
+    (package / "sub").mkdir()
+    (package / "sub" / "c.py").write_text("not\ncounted\n")
+    assert module.source_size(package) == {"src_lines": 7 + 2, "all_names": 3}
+
+
+def test_bench_size_of_leakline_is_its_all():
+    import leakline
+
+    size = load_bench().source_size(REPO / "src" / "leakline")
+    assert size["all_names"] == len(leakline.__all__)
+    wc = subprocess.run(["wc", "-l", *sorted(map(str, (REPO / "src" / "leakline").glob("*.py")))],
+                        capture_output=True, text=True, check=True)
+    assert size["src_lines"] == int(wc.stdout.splitlines()[-1].split()[0])
+
+
 TRACER_CONTRACT = """
 import importlib.util, json, sys
 spec = importlib.util.spec_from_file_location("tracing", sys.argv[1])
