@@ -3,14 +3,16 @@
 
     python3 scripts/bench.py N
 
-Runs `perfbench/run.py --trace 0` once for each workload BENCHMARK.json
-names, at the fixed seed SEED and for the benchmark's own run length, and
-the Tier-1 test suite once.  Writes each workload's result (correctness
-counts and end-to-end metrics), the suite's wall time and its passed,
-failed and error counts, the two tracked sizes of src/leakline (its line
-count and the length of leakline.__all__), with the git commit and the
-Python and NumPy versions, to BENCH_<N>.json at the root of the checkout.
-Takes about half a minute per workload.
+Runs `perfbench/run.py` twice for each workload BENCHMARK.json names, at
+the fixed seed SEED and for the benchmark's own run length: once with
+`--trace 0` and once with `--trace 1`.  Then runs the Tier-1 test suite
+once.  Writes each workload's result (correctness counts and end-to-end
+metrics), each workload's per-layer metrics from the traced run under
+"layers", the suite's wall time and its passed, failed and error counts,
+the two tracked sizes of src/leakline (its line count and the length of
+leakline.__all__), with the git commit and the Python and NumPy versions,
+to BENCH_<N>.json at the root of the checkout.  Takes about a minute per
+workload.
 """
 
 from __future__ import annotations
@@ -38,11 +40,19 @@ def parse_result(stdout: str) -> dict:
     return {key: result[key] for key in ("correct", "attempted", "failed", "metrics")}
 
 
-def run_workload(name: str, seconds: float) -> dict:
+def run_workload(name: str, seconds: float, trace: int) -> dict:
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", name,
-                           "--seed", str(SEED), "--seconds", str(seconds), "--trace", "0"],
+                           "--seed", str(SEED), "--seconds", str(seconds),
+                           "--trace", str(trace)],
                           cwd=ROOT, capture_output=True, text=True, check=True)
     return parse_result(proc.stdout)
+
+
+def run_workloads(names: list[str], seconds: float) -> dict:
+    """Each workload's untraced result, and under "layers" the per-layer
+    metrics of one traced run of it."""
+    return {"workloads": {name: run_workload(name, seconds, 0) for name in names},
+            "layers": {name: run_workload(name, seconds, 1)["metrics"] for name in names}}
 
 
 def parse_pytest_summary(stdout: str) -> dict:
@@ -92,7 +102,7 @@ def main() -> int:
         "dirty": bool(git("status", "--porcelain", "--", "src", "perfbench", "BENCHMARK.json")),
         "python": platform.python_version(), "numpy": numpy.__version__,
         "seed": SEED, "seconds": seconds,
-        "workloads": {w["name"]: run_workload(w["name"], seconds) for w in bench["workloads"]},
+        **run_workloads([w["name"] for w in bench["workloads"]], seconds),
         "tier1": run_tier1(),
         "size": source_size(ROOT / "src" / "leakline"),
     }

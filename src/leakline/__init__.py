@@ -19,7 +19,6 @@ from .detection import (
     fixation_time,
     fixation_time_empirical,
     min_information_latency,
-    position_gain,
     pressure_ratio,
     simulate_trajectory,
     theta_from_ratio,
@@ -28,7 +27,6 @@ from .isolation import (
     ConnectorValve,
     IsolationPlan,
     ValveLayout,
-    bounding_valves,
     build_isolation_plan,
 )
 from .model import (
@@ -38,9 +36,7 @@ from .model import (
     PipelineSpec,
     SeriesConfig,
     SeriesPrecisionWarning,
-    decay_rate,
     inlet_pressure,
-    neumann_kernel,
     outlet_pressure,
     pressure_field,
     pressure_profile,
@@ -64,11 +60,11 @@ __version__ = "0.1.0"
 __all__ = [
     "DEFAULT_EPS_MEAS", "PressureTrajectory", "RatioPoint", "RegimeBand", "ThetaEstimate",
     "Verdict", "admissible_band", "classify_regime", "estimate_position", "fixation_time",
-    "fixation_time_empirical", "min_information_latency", "position_gain", "pressure_ratio",
+    "fixation_time_empirical", "min_information_latency", "pressure_ratio",
     "simulate_trajectory", "theta_from_ratio", "ConnectorValve", "IsolationPlan",
-    "ValveLayout", "bounding_valves", "build_isolation_plan",
+    "ValveLayout", "build_isolation_plan",
     "PIPELINE_A", "PIPELINE_B", "LeakScenario", "PipelineSpec", "SeriesConfig",
-    "SeriesPrecisionWarning", "decay_rate", "inlet_pressure", "neumann_kernel",
+    "SeriesPrecisionWarning", "inlet_pressure",
     "outlet_pressure", "pressure_field", "pressure_profile", "steady_pressure",
     "transient_pressure", "EventKind", "FixationRule", "MonitorConfig", "MonitorEvent",
     "append_event_log", "read_pressure_stream", "run_monitor", "FdGrid", "FdField",

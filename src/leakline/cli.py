@@ -134,10 +134,16 @@ def cmd_curves(args) -> int:
     _require_positive("--eps-meas", args.eps_meas)
     lines = ["scenario_id,t,p"]
     for path in args.scenarios:
-        sc = load_scenario(path)
-        leak, run = sc.require_leak(), sc.require_run()
-        cfg = _series_override(args, sc.series)
-        traj = detection.simulate_trajectory(sc.spec, leak, cfg, run.times())
+        try:
+            sc = load_scenario(path)
+            leak, run = sc.require_leak(), sc.require_run()
+            cfg = _series_override(args, sc.series)
+            traj = detection.simulate_trajectory(sc.spec, leak, cfg, run.times())
+        except ValueError as exc:
+            # with several scenarios, say which one failed (once)
+            if len(args.scenarios) == 1 or str(exc).startswith(f"{path}: "):
+                raise
+            raise ValueError(f"{path}: {exc}") from exc
         p1, p2 = traj.baseline
         for t, p_in, p_out in traj.samples.tolist():
             rp = detection.ratio_from_deviations(p1 - p_in, p2 - p_out, t, args.eps_meas)

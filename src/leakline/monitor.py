@@ -14,7 +14,6 @@ from __future__ import annotations
 import enum
 import math
 import warnings
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
@@ -153,12 +152,6 @@ def read_pressure_stream(path: str | Path) -> np.ndarray:
     return rows
 
 
-def _after(indices: list[int], i: int, stop: int) -> int:
-    """The first of the sorted `indices` beyond i, or stop if none is before it."""
-    k = bisect_right(indices, i)
-    return min(indices[k], stop) if k < len(indices) else stop
-
-
 def run_monitor(cfg: MonitorConfig,
                 stream: np.ndarray | Iterable[tuple[float, float, float]]) -> list[MonitorEvent]:
     """Replay a stream and return the ordered decision events.
@@ -179,33 +172,63 @@ def run_monitor(cfg: MonitorConfig,
         rows = rows.reshape(0, 3)
     ts, p_ins, p_outs = rows.T
     with np.errstate(invalid="ignore", over="ignore"):
-        steps = np.diff(ts)
         disorder = np.flatnonzero(~((ts[:-1] < ts[1:]) & (ts[1:] < math.inf)))
-    stop = int(disorder[0]) + 1 if len(disorder) else len(rows)
-    gap = np.zeros(len(rows), dtype=bool)
-    gap[1:] = steps > 2.0 * cfg.sampling_step
+        stop = int(disorder[0]) + 1 if len(disorder) else len(rows)
+        gap = np.zeros(stop, dtype=bool)
+        gap[1:] = np.diff(ts[:stop]) > 2.0 * cfg.sampling_step
+    p_ins, p_outs = p_ins[:stop], p_outs[:stop]
     invalid = ~((0 < p_ins) & (p_ins < math.inf) & (0 < p_outs) & (p_outs < math.inf))
-    # samples that emit a DataQuality event whatever the state
-    flagged = np.flatnonzero(gap | invalid).tolist()
-    wake: list[int] = []  # set with the baseline: the samples a quiet run ends at
 
-    events: list[MonitorEvent] = []
-    baseline_buf: list[tuple[float, float, float]] = []
-    baseline: tuple[float, float] | None = None
-    prev_quiet_t: float | None = None
-    t_onset: float | None = None    # set while an episode is open
-    empirical: EmpiricalFixation | None = None
-    done = False
-    rearm_pending = False
-    quiet_since: float | None = None
-    quiet_run = False  # armed and the last sample was quiet
-    t_fix_target = fixation_time(cfg.spec, cfg.sampling_step)
+    quality = []  # (sample index, event), as are the decisions
+    for i in np.flatnonzero(gap | invalid).tolist():
+        t, p_in, p_out = rows[i].tolist()
+        if gap[i]:
+            quality.append((i, MonitorEvent(t, EventKind.DATA_QUALITY, {
+                "warning": f"gap {t - ts[i - 1]:.6g} s exceeds twice the sampling step"})))
+        if invalid[i]:
+            quality.append((i, MonitorEvent(t, EventKind.DATA_QUALITY, {
+                "warning": f"invalid reading p_inlet={p_in:.6g} p_outlet={p_out:.6g}; "
+                           "sample skipped"})))
+    first = np.flatnonzero(~invalid)[:BASELINE_SAMPLES].tolist()
+    decisions = (_decisions(cfg, rows[:stop], invalid, first)
+                 if len(first) == BASELINE_SAMPLES else [])
+    if stop < len(rows):
+        raise StreamOrderError(f"timestamp {ts[stop]:.6g} is not a finite time after "
+                               f"{ts[stop - 1]:.6g}; episode aborted")
+    # a stable sort: each sample's DataQuality events come before its decisions
+    return [event for _, event in sorted(quality + decisions, key=lambda pair: pair[0])]
+
+
+def _decisions(cfg: MonitorConfig, rows: np.ndarray, invalid: np.ndarray,
+               first: list[int]) -> list[tuple[int, MonitorEvent]]:
+    """The Baseline event from the valid samples `first`, then the events of
+    each episode, keyed by sample index.
+
+    An episode opens at a deviating sample while the monitor is armed and
+    is decided from its own samples.  A non-Accident verdict re-arms the
+    monitor once the line has been quiet for one fixation interval; after
+    an Accident nothing more is decided.
+    """
+    ts = rows[:, 0]
+    stop = len(rows)
+    b = first[-1]
+    mid = BASELINE_SAMPLES // 2  # the median, as the count is odd
+    base_in = sorted(rows[first, 1].tolist())[mid]
+    base_out = sorted(rows[first, 2].tolist())[mid]
     eps = cfg.eps_meas
+    dev_ins, dev_outs = base_in - rows[:, 1], base_out - rows[:, 2]
+    quiet = (-eps < dev_ins) & (dev_ins < eps) & (-eps < dev_outs) & (dev_outs < eps)
+    deviating = ~(quiet | invalid)
+    deviating[:b + 1] = False
+    starts = np.flatnonzero(deviating)  # the samples an armed monitor opens an episode at
+    t_fix_target = fixation_time(cfg.spec, cfg.sampling_step)
+    grid = cfg.fixation_rule is FixationRule.GRID
+    events = []
 
-    def emit(t, kind, **payload):
-        events.append(MonitorEvent(t=t, kind=kind, payload=payload))
+    def emit(i, kind, **payload):
+        events.append((i, MonitorEvent(t=float(ts[i]), kind=kind, payload=payload)))
 
-    def issue_verdict(t_abs, rp):
+    def issue_verdict(k, rp, t_onset):
         est = estimate_from_ratio(cfg.spec, rp)
         payload = {"verdict": est.verdict, "t_onset": t_onset, "tau": rp.t, "p": rp.p}
         if est.theta is not None:
@@ -214,104 +237,67 @@ def run_monitor(cfg: MonitorConfig,
                            orientation=("inlet-half" if est.theta < 0.5
                                         else "midpoint" if est.theta == 0.5
                                         else "outlet-half"))
-        emit(t_abs, EventKind.VERDICT, **payload)
+        emit(k, EventKind.VERDICT, **payload)
         if est.verdict is Verdict.ACCIDENT:
             if cfg.layout is not None:
                 plan = build_isolation_plan(cfg.layout, est.ell2_est)
-                emit(t_abs, EventKind.PLAN_ISSUED, close=plan.close,
+                emit(k, EventKind.PLAN_ISSUED, close=plan.close,
                      open=plan.open, span=plan.close, partial=plan.partial)
             else:
-                emit(t_abs, EventKind.DATA_QUALITY,
+                emit(k, EventKind.DATA_QUALITY,
                      warning="no valve layout configured; plan skipped")
         return est.verdict
 
-    i = -1
-    while True:
-        if done:  # after an Accident only DataQuality events remain
-            i = _after(flagged, i, stop)
-        elif quiet_run:  # each quiet sample up to the next wake one only moves prev_quiet_t
-            i = _after(wake, i, stop)
-            prev_quiet_t = float(ts[i - 1])
-        else:
-            i += 1
-        if i >= stop:
+    def episode(j, t_onset):
+        """Decide the episode opened at sample j: the fixation sample and its
+        verdict, or None if the stream ends first."""
+        p_in, p_out = rows[j, 1:].tolist()
+        emit(j, EventKind.DEVIATION_DETECTED, dev_inlet=base_in - p_in,
+             dev_outlet=base_out - p_out, t_onset=t_onset)
+        empirical = EmpiricalFixation(cfg.sampling_step)
+        for k in range(j, stop):
+            if invalid[k]:
+                continue
+            t, p_in, p_out = rows[k].tolist()
+            tau = t - t_onset
+            if grid and tau < t_fix_target:
+                continue
+            rp = ratio_from_deviations(base_in - p_in, base_out - p_out, tau, eps)
+            fixed = rp if grid else empirical.push(rp)
+            if fixed is not None:
+                emit(k, EventKind.FIXATION, tau=fixed.t, t_onset=t_onset,
+                     rule=cfg.fixation_rule)
+                return k, issue_verdict(k, fixed, t_onset)
+        return None
+
+    def rearm(k):
+        """The sample after the one that ends the first quiet fixation
+        interval since the verdict at k; a deviation restarts the clock."""
+        quiet_since = None if deviating[k] else float(ts[k])
+        for m in range(k + 1, stop):
+            if invalid[m]:
+                continue
+            t = float(ts[m])
+            if deviating[m]:
+                quiet_since = None
+            elif quiet_since is None:
+                quiet_since = t
+            elif t - quiet_since >= t_fix_target:  # > 0, so never at a run's first sample
+                return m + 1
+        return stop
+
+    events.append((b, MonitorEvent(float(ts[b]), EventKind.BASELINE, {
+        "p_inlet": base_in, "p_outlet": base_out, "n_samples": BASELINE_SAMPLES})))
+    armed = b + 1
+    while (n := int(np.searchsorted(starts, armed))) < len(starts):
+        j = int(starts[n])
+        onset = j - 1  # the valid sample before j: the baseline one at the earliest
+        while invalid[onset]:
+            onset -= 1
+        decided = episode(j, float(ts[onset]))
+        if decided is None or decided[1] is Verdict.ACCIDENT:
             break
-        quiet_run = False
-        t, p_in, p_out = rows[i].tolist()
-        if gap[i]:
-            emit(t, EventKind.DATA_QUALITY,
-                 warning=f"gap {steps[i - 1]:.6g} s exceeds twice the sampling step")
-        if invalid[i]:
-            emit(t, EventKind.DATA_QUALITY,
-                 warning=f"invalid reading p_inlet={p_in:.6g} p_outlet={p_out:.6g}; "
-                         "sample skipped")
-            continue
-
-        if baseline is None:
-            baseline_buf.append((t, p_in, p_out))
-            if len(baseline_buf) == BASELINE_SAMPLES:
-                mid = BASELINE_SAMPLES // 2  # the median, as the count is odd
-                baseline = (sorted(s[1] for s in baseline_buf)[mid],
-                            sorted(s[2] for s in baseline_buf)[mid])
-                emit(t, EventKind.BASELINE, p_inlet=baseline[0], p_outlet=baseline[1],
-                     n_samples=BASELINE_SAMPLES)
-                prev_quiet_t = t
-                quiet_run = True
-                dev_ins, dev_outs = baseline[0] - p_ins, baseline[1] - p_outs
-                quiet = ((-eps < dev_ins) & (dev_ins < eps)
-                         & (-eps < dev_outs) & (dev_outs < eps) & ~invalid)
-                wake = np.flatnonzero(~quiet | gap).tolist()
-            continue
-        if done:
-            continue
-
-        dev_in = baseline[0] - p_in
-        dev_out = baseline[1] - p_out
-        deviating = not (-eps < dev_in < eps and -eps < dev_out < eps)
-
-        if t_onset is None:
-            if rearm_pending:
-                # stay disarmed until the line has been quiet for one full
-                # fixation interval; any deviation restarts the quiet clock
-                if deviating:
-                    quiet_since = None
-                else:
-                    if quiet_since is None:
-                        quiet_since = t
-                    prev_quiet_t = t
-                    if t - quiet_since >= t_fix_target:
-                        rearm_pending = False
-                continue
-            if deviating:
-                t_onset = prev_quiet_t if prev_quiet_t is not None else t - cfg.sampling_step
-                empirical = EmpiricalFixation(cfg.sampling_step)
-                emit(t, EventKind.DEVIATION_DETECTED, dev_inlet=dev_in,
-                     dev_outlet=dev_out, t_onset=t_onset)
-            else:
-                prev_quiet_t = t
-                quiet_run = True
-                continue
-
-        tau = t - t_onset
-        if cfg.fixation_rule is FixationRule.GRID:
-            fixed = (ratio_from_deviations(dev_in, dev_out, tau, eps)
-                     if tau >= t_fix_target else None)
-        else:
-            fixed = empirical.push(ratio_from_deviations(dev_in, dev_out, tau, eps))
-
-        if fixed is not None:
-            emit(t, EventKind.FIXATION, tau=fixed.t, t_onset=t_onset,
-                 rule=cfg.fixation_rule)
-            verdict = issue_verdict(t, fixed)
-            if verdict is Verdict.ACCIDENT:
-                done = True
-            else:
-                rearm_pending = True
-                quiet_since = None if deviating else t
-                t_onset = None
-    if stop < len(rows):
-        raise StreamOrderError(f"timestamp {ts[stop]:.6g} is not a finite time after "
-                               f"{ts[stop - 1]:.6g}; episode aborted")
+        armed = rearm(decided[0])
     return events
 
 

@@ -486,6 +486,20 @@ class TestUsageErrors:
         assert code == EXIT_VALIDATION and out == ""
         assert err == "error: pressures must be positive: inlet -113469 Pa at t = 60 s\n"
 
+    def test_curves_names_the_failing_scenario(self, capsys, scenario_path, tmp_path):
+        good = scenario_path("pipeline_b_start")
+        bad = tmp_path / "overdrawn.cfg"
+        bad.write_text(Path(good).read_text()
+                       .replace("ell2 = 0.5e4", "ell2 = 0.5e4\ng_leak = 400"))
+        code, out, err = run(capsys, "curves", good, str(bad))
+        assert code == EXIT_VALIDATION and out == ""
+        assert err == (f"error: {bad}: pressures must be positive: "
+                       "inlet -113469 Pa at t = 60 s\n")
+        missing = tmp_path / "missing.cfg"  # a message that names its file already
+        code, _, err = run(capsys, "curves", good, str(missing))
+        assert code == EXIT_VALIDATION
+        assert err == f"error: {missing}: scenario file not found\n"
+
     @pytest.mark.parametrize("points", ["0", "-3"])
     def test_field_points_below_one_exit_one(self, capsys, scenario_path, tmp_path, points):
         field = tmp_path / "field.csv"

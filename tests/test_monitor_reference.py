@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from leakline.isolation import ConnectorValve, ValveLayout
@@ -97,14 +97,43 @@ def scenarios(draw):
     return cfg, rows
 
 
+def quiet_b(times):
+    return [(float(t), 14e4, 11e4) for t in times]
+
+
+def drift_b(times, ratio, rate=200.0):
+    return [(float(t), 14e4 - ratio * rate * k, 11e4 - rate * k)
+            for k, t in enumerate(times, start=1)]
+
+
+GRID_B = MonitorConfig(spec=PIPELINE_B, layout=LAYOUT_B, eps_meas=100.0)  # fixes at tau 120 s
+# the sample after a 180 s gap is the grid fixation sample: DataQuality, then Fixation
+GAP_AT_FIXATION = quiet_b(range(0, 300, 60)) + drift_b([300, 480, 540], 5.0)
+# a bad reading at 360 s just before the first deviating sample: the onset is 300 s
+INVALID_BEFORE_ONSET = (quiet_b(range(0, 360, 60)) + [(360.0, math.nan, 11e4)]
+                        + drift_b(range(420, 660, 60), 5.0))
+# a Technological verdict at 360 s; deviations at 480 s and 660-840 s each restart
+# the quiet clock, so the monitor re-arms at 1020 s and not at 540 s
+DEVIATION_WHILE_REARMING = (quiet_b(range(0, 300, 60)) + drift_b([300, 360], 12.0)
+                            + quiet_b([420]) + drift_b([480], 12.0) + quiet_b([540, 600])
+                            + drift_b(range(660, 900, 60), 5.0) + quiet_b(range(900, 1080, 60))
+                            + drift_b(range(1080, 1260, 60), 5.0))
+
+
 class TestMonitorMatchesReference:
     @settings(max_examples=400, deadline=None)
     @given(scenarios())
+    @example((GRID_B, GAP_AT_FIXATION))
+    @example((GRID_B, INVALID_BEFORE_ONSET))
+    @example((GRID_B, DEVIATION_WHILE_REARMING))
     def test_events_or_error_identical(self, case):
         cfg, rows = case
         expected = replay(reference_run_monitor, cfg, rows)
+        array = np.array(rows, dtype=float).reshape(-1, 3)
         assert replay(run_monitor, cfg, rows) == expected
-        assert replay(run_monitor, cfg, np.array(rows, dtype=float).reshape(-1, 3)) == expected
+        assert replay(run_monitor, cfg, array) == expected
+        # one NumPy row at a time, as a traced read_pressure_stream yields them
+        assert replay(run_monitor, cfg, (row for row in array)) == expected
 
     @pytest.mark.parametrize("rule", list(FixationRule))
     def test_long_stream(self, rule):

@@ -66,6 +66,26 @@ def test_bench_reads_the_perfbench_result_line():
                             "metrics": metrics}) + "\n")
     assert module.parse_result(stdout) == {"correct": True, "attempted": 1785,
                                            "failed": 0, "metrics": metrics}
+    # a --trace 1 run ends on the per-layer metrics of its traced passes
+    layers = {"monitor.run_monitor.calls": {"value": 8.0, "unit": "count"},
+              "monitor.run_monitor.self_s": {"value": 0.0041, "unit": "s"},
+              "trace.overhead_s": {"value": 0.012, "unit": "s"}}
+    traced = ('record {"workload": "sweep", "seed": 3, "trace": 1}\n'
+              'report {"trace.overhead_s": {"value": 0.012, "unit": "s"}}\n'
+              + json.dumps({"correct": True, "attempted": 1785, "failed": 0,
+                            "metrics": layers}) + "\n")
+    runs = []
+
+    def run_workload(name, seconds, trace):
+        runs.append((name, seconds, trace))
+        return module.parse_result(traced if trace else stdout)
+
+    module.run_workload = run_workload
+    assert module.run_workloads(["sweep"], 20) == {
+        "workloads": {"sweep": {"correct": True, "attempted": 1785, "failed": 0,
+                                "metrics": metrics}},
+        "layers": {"sweep": layers}}
+    assert runs == [("sweep", 20, 0), ("sweep", 20, 1)]
 
 
 @pytest.mark.parametrize("summary,counts", [
