@@ -14,11 +14,9 @@ from .detection import (
     ThetaEstimate,
     Verdict,
     admissible_band,
-    classify_regime,
     estimate_position,
     fixation_time,
     fixation_time_empirical,
-    min_information_latency,
     pressure_ratio,
     simulate_trajectory,
     theta_from_ratio,
@@ -59,10 +57,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DEFAULT_EPS_MEAS", "PressureTrajectory", "RatioPoint", "RegimeBand", "ThetaEstimate",
-    "Verdict", "admissible_band", "classify_regime", "estimate_position", "fixation_time",
-    "fixation_time_empirical", "min_information_latency", "pressure_ratio",
-    "simulate_trajectory", "theta_from_ratio", "ConnectorValve", "IsolationPlan",
-    "ValveLayout", "build_isolation_plan",
+    "Verdict", "admissible_band", "estimate_position", "fixation_time",
+    "fixation_time_empirical", "pressure_ratio", "simulate_trajectory", "theta_from_ratio",
+    "ConnectorValve", "IsolationPlan", "ValveLayout", "build_isolation_plan",
     "PIPELINE_A", "PIPELINE_B", "LeakScenario", "PipelineSpec", "SeriesConfig",
     "SeriesPrecisionWarning", "inlet_pressure",
     "outlet_pressure", "pressure_field", "pressure_profile", "steady_pressure",

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import detection, monitor as monitor_mod, oracle
 from .model import SeriesConfig, pressure_field
-from .scenario import Scenario, ScenarioError, load_scenario
+from .scenario import Scenario, load_scenario
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -68,14 +68,13 @@ def cmd_simulate(args) -> int:
     leak, run = sc.require_leak(), sc.require_run()
     cfg = _series_override(args, sc.series)
     times = run.times()
-    pins = pressure_field(sc.spec, leak, cfg, [0.0], times)[:, 0].tolist()
-    pouts = pressure_field(sc.spec, leak, cfg, [sc.spec.length], times)[:, 0].tolist()
+    traj = detection.simulate_trajectory(sc.spec, leak, cfg, times)
     if args.csv:
         header, fmt, sep = "t_seconds,p_inlet_pa,p_outlet_pa", repr, ","  # repr round-trips
     else:
         header, fmt, sep = "t_s\tP_inlet_1e4Pa\tP_outlet_1e4Pa", _fmt_table, "\t"
     lines = [header] + [f"{t:g}{sep}{fmt(pin)}{sep}{fmt(pout)}"
-                        for t, pin, pout in zip(times, pins, pouts)]
+                        for t, pin, pout in traj.samples.tolist()]
     _write_or_print("\n".join(lines) + "\n", args.out)
 
     if args.field is not None:
@@ -107,9 +106,8 @@ def cmd_locate(args) -> int:
     band = detection.admissible_band(sc.spec, args.at)
     out = []
     if est.theta is None:
-        cause = est.ratio.cause.value if est.ratio and est.ratio.cause else "undefined"
         print(f"t_fix = {args.at:g} s", file=sys.stderr)
-        print(f"ratio undefined: deviation below measurability floor ({cause})",
+        print(f"ratio undefined: deviation below measurability floor ({est.ratio.cause.value})",
               file=sys.stderr)
         print(f"verdict = {est.verdict.value}", file=sys.stderr)
         return EXIT_NO_SIGNAL
@@ -259,11 +257,6 @@ def main(argv: list[str] | None = None) -> int:
         except SystemExit2 as exc:
             print(str(exc), file=sys.stderr)
             return EXIT_VALIDATION
-        except (ScenarioError, monitor_mod.StreamFormatError, monitor_mod.StreamOrderError,
-                ValueError, OSError) as exc:
+        except (ValueError, OSError) as exc:  # ScenarioError and the stream errors too
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_VALIDATION
-
-
-if __name__ == "__main__":
-    sys.exit(main())

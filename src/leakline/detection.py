@@ -72,8 +72,6 @@ class RatioPoint:
     p: float
     defined: bool
     cause: UndefinedCause | None = None
-    dev_inlet: float = float("nan")
-    dev_outlet: float = float("nan")
 
 
 @dataclass(frozen=True)
@@ -82,7 +80,6 @@ class RegimeBand:
 
     lo: float
     hi: float
-    t: float
 
     def contains(self, p: float) -> bool:
         return self.lo < p < self.hi
@@ -168,19 +165,14 @@ def ratio_from_deviations(dev_inlet: float, dev_outlet: float, t: float,
                           eps_meas: float) -> RatioPoint:
     """Build the drop ratio from raw deviations, applying the floor rules."""
     if not (math.isfinite(dev_inlet) and math.isfinite(dev_outlet)):
-        return RatioPoint(t=t, p=float("nan"), defined=False,
-                          cause=UndefinedCause.NON_FINITE,
-                          dev_inlet=dev_inlet, dev_outlet=dev_outlet)
-    if dev_inlet < 0 or dev_outlet < 0:
-        return RatioPoint(t=t, p=float("nan"), defined=False,
-                          cause=UndefinedCause.NEGATIVE_DEVIATION,
-                          dev_inlet=dev_inlet, dev_outlet=dev_outlet)
-    if dev_inlet < eps_meas or dev_outlet < eps_meas:
-        return RatioPoint(t=t, p=float("nan"), defined=False,
-                          cause=UndefinedCause.BELOW_FLOOR,
-                          dev_inlet=dev_inlet, dev_outlet=dev_outlet)
-    return RatioPoint(t=t, p=dev_inlet / dev_outlet, defined=True,
-                      dev_inlet=dev_inlet, dev_outlet=dev_outlet)
+        cause = UndefinedCause.NON_FINITE
+    elif dev_inlet < 0 or dev_outlet < 0:
+        cause = UndefinedCause.NEGATIVE_DEVIATION
+    elif dev_inlet < eps_meas or dev_outlet < eps_meas:
+        cause = UndefinedCause.BELOW_FLOOR
+    else:
+        return RatioPoint(t=t, p=dev_inlet / dev_outlet, defined=True)
+    return RatioPoint(t=t, p=math.nan, defined=False, cause=cause)
 
 
 def pressure_ratio(traj: PressureTrajectory, t: float,
@@ -227,21 +219,17 @@ def admissible_band(spec: PipelineSpec, t: float) -> RegimeBand | None:
     g = position_gain(spec, t)
     if g <= 0.5:
         return None
-    return RegimeBand(lo=(g - 0.5) / (g + 0.5), hi=(g + 0.5) / (g - 0.5), t=t)
+    return RegimeBand(lo=(g - 0.5) / (g + 0.5), hi=(g + 0.5) / (g - 0.5))
 
 
 def first_band_time(spec: PipelineSpec) -> float:
-    """Earliest time at which the admissible band exists (bisection to 1e-3 s)."""
-    lo, hi = 0.0, 1.0
-    while position_gain(spec, hi) <= 0.5:
-        hi *= 2.0
-    while hi - lo > 1e-3:
-        mid = 0.5 * (lo + hi)
-        if position_gain(spec, mid) <= 0.5:
-            lo = mid
-        else:
-            hi = mid
-    return hi
+    """Earliest time at which the admissible band exists.
+
+    The gain is 1/2 where u = exp(-decay_rate * t) solves u^2 - 4u + pi^2/6 = 0.
+    That root is returned 1e-12 of itself late, where the gain exceeds 1/2.
+    """
+    u = 2.0 - math.sqrt(4.0 - PI_SQ / 6.0)
+    return -math.log(u) / decay_rate(spec) * (1.0 + 1e-12)
 
 
 def _judge(spec: PipelineSpec, rp: RatioPoint) -> tuple[Verdict, ThetaValue | None]:

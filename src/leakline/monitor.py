@@ -74,12 +74,10 @@ class MonitorConfig:
     fixation_rule: FixationRule = FixationRule.GRID
 
     def __post_init__(self):
-        if not self.sampling_step > 0:
-            raise ValueError("sampling_step must be > 0")
-        if not self.eps_meas > 0:
-            raise ValueError("eps_meas must be > 0")
-        if not isinstance(self.fixation_rule, FixationRule):
-            object.__setattr__(self, "fixation_rule", FixationRule(self.fixation_rule))
+        for name in ("sampling_step", "eps_meas"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be > 0 and finite")
+        object.__setattr__(self, "fixation_rule", FixationRule(self.fixation_rule))
         if self.layout is not None:
             self.layout.check_against(self.spec)
 

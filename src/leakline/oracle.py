@@ -69,6 +69,8 @@ def fd_solve(spec: PipelineSpec, scenario: LeakScenario, grid: FdGrid,
     """Evaluate the semi-discrete deviation field at the requested times."""
     scenario.check_against(spec)
     times = sorted(float(t) for t in output_times)
+    if not all(0 <= t < np.inf for t in times):
+        raise ValueError("t must be >= 0 and finite")
     if times and times[-1] > grid.t_end + 1e-9:
         raise ValueError("output times exceed the grid horizon")
     include_zero = bool(times) and times[0] <= 1e-12

@@ -47,7 +47,6 @@ class ScenarioError(ValueError):
     """Validation failure with a field-precise location."""
 
     def __init__(self, where: str, message: str):
-        self.where = where
         super().__init__(f"{where}: {message}")
 
 

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -132,8 +135,11 @@ class TestSimulate:
         # 2000 points x 60 instants: one instant's text at a time peaks near
         # 4 MB, while the row strings of the whole dump take about 19 MB
         path = tmp_path / "long.cfg"
+        # g_leak = 5 keeps both ends positive to 3600 s (at the default g0 the
+        # outlet is negative from 2280 s, which simulate rejects)
         path.write_text(Path(scenario_path("pipeline_b_mid")).read_text()
-                        .replace("t_end = 600", "t_end = 3600"))
+                        .replace("t_end = 600", "t_end = 3600")
+                        .replace("ell2 = 1.5e4", "ell2 = 1.5e4\ng_leak = 5"))
         field = tmp_path / "field.csv"
         argv = ["simulate", str(path), "--out", str(tmp_path / "sim.txt"),
                 "--field", str(field), "--field-points", "2000"]
@@ -475,7 +481,8 @@ class TestUsageErrors:
         assert code == EXIT_VALIDATION
         assert out == "" and err == "error: n_max must be <= 4096, got 1000000000000\n"
 
-    @pytest.mark.parametrize("command,extra", [("curves", []), ("locate", ["--at", "120"])])
+    @pytest.mark.parametrize("command,extra", [("curves", []), ("locate", ["--at", "120"]),
+                                               ("simulate", [])])
     def test_non_positive_pressure_named_exit_one(self, capsys, scenario_path, tmp_path,
                                                   command, extra):
         # g_leak = 400 outgrows line B's linear model: the inlet is negative at 60 s
@@ -508,3 +515,25 @@ class TestUsageErrors:
         assert code == EXIT_VALIDATION
         assert out == "" and err.startswith("error: --field-points must be >= 1")
         assert not field.exists()
+
+
+class TestModuleEntryPoint:
+    """`python -m leakline` runs cli.main in a fresh interpreter and exits with its code."""
+
+    @staticmethod
+    def run_module(*argv):
+        from conftest import REPO
+        env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+        return subprocess.run([sys.executable, "-m", "leakline", *argv], cwd=REPO, env=env,
+                              capture_output=True, timeout=120)
+
+    def test_simulate_csv_matches_golden(self):
+        result = self.run_module("simulate", "scenarios/pipeline_b_start.cfg", "--csv")
+        assert result.returncode == EXIT_OK and result.stderr == b""
+        assert result.stdout == (GOLDEN / "pipeline_b_start.simulate.csv").read_bytes()
+
+    def test_usage_error_exit_one(self):
+        result = self.run_module("simulate")
+        assert result.returncode == EXIT_VALIDATION and result.stdout == b""
+        assert result.stderr.endswith(
+            b"leakline simulate: error: the following arguments are required: scenario\n")

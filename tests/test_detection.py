@@ -260,6 +260,16 @@ class TestAdmissibleBand:
         band = admissible_band(PIPELINE_A, t_star + 1.0)
         assert band is not None and band.lo == pytest.approx(1.0 / band.hi)
 
+    @pytest.mark.parametrize("spec", [
+        PIPELINE_A, PIPELINE_B,
+        PipelineSpec(p_inlet_0=55e4, p_outlet_0=25e4, length=1e4, g0=300.0,
+                     sound_speed=1e9, two_a=0.1)])  # the crossing is at 7.75e-13 s
+    def test_first_band_time_is_the_crossing(self, spec):
+        t_star = first_band_time(spec)
+        assert position_gain(spec, t_star) > 0.5
+        assert position_gain(spec, 0.999999 * t_star) <= 0.5
+        assert admissible_band(spec, t_star) is not None
+
     def test_reciprocal_bounds(self):
         band = admissible_band(PIPELINE_B, 120.0)
         assert band is not None

@@ -45,9 +45,9 @@ def kinds(events):
 
 class TestConfigValidation:
     @pytest.mark.parametrize("field", ["sampling_step", "eps_meas"])
-    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
     def test_non_positive_rejected(self, field, value):
-        with pytest.raises(ValueError, match=f"{field} must be > 0"):
+        with pytest.raises(ValueError, match=f"{field} must be > 0 and finite"):
             config(**{field: value})
 
 

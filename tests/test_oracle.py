@@ -136,6 +136,12 @@ class TestCompare:
         assert compare_with_series(PIPELINE_A, LEAK_A, FdGrid(300, 100.0), CFG,
                                    output_times=[10.0, 50.0, 100.0]).max_rel < 1e-3
 
+    def test_bad_output_times_rejected(self):
+        # neither moved to 0 s nor dropped: a negative or NaN time is an error
+        for times in ([-5.0, 10.0], [float("nan"), 10.0]):
+            with pytest.raises(ValueError, match="t must be >= 0 and finite"):
+                fd_solve(PIPELINE_A, LEAK_A, FdGrid(200, 100.0), times)
+
     def test_output_times_beyond_horizon_rejected(self):
         grid = FdGrid(200, 100.0)
         with pytest.raises(ValueError, match="horizon"):
