@@ -161,23 +161,38 @@ def simulate_trajectory(spec: PipelineSpec, scenario: LeakScenario,
                               baseline=(spec.p_inlet_0, spec.p_outlet_0))
 
 
+def defined_ratio(dev_inlet: float, dev_outlet: float, eps_meas: float) -> float | None:
+    """The floor rule: dev_inlet / dev_outlet when both deviations are finite
+    and at least eps_meas (> 0), else None."""
+    if eps_meas <= dev_inlet < math.inf and eps_meas <= dev_outlet < math.inf:
+        return dev_inlet / dev_outlet
+    return None
+
+
 def ratio_from_deviations(dev_inlet: float, dev_outlet: float, t: float,
                           eps_meas: float) -> RatioPoint:
-    """Build the drop ratio from raw deviations, applying the floor rules."""
+    """Build the drop ratio from raw deviations, naming why it is undefined."""
+    p = defined_ratio(dev_inlet, dev_outlet, eps_meas)
+    if p is not None:
+        return RatioPoint(t=t, p=p, defined=True)
     if not (math.isfinite(dev_inlet) and math.isfinite(dev_outlet)):
         cause = UndefinedCause.NON_FINITE
     elif dev_inlet < 0 or dev_outlet < 0:
         cause = UndefinedCause.NEGATIVE_DEVIATION
-    elif dev_inlet < eps_meas or dev_outlet < eps_meas:
-        cause = UndefinedCause.BELOW_FLOOR
     else:
-        return RatioPoint(t=t, p=dev_inlet / dev_outlet, defined=True)
+        cause = UndefinedCause.BELOW_FLOOR
     return RatioPoint(t=t, p=math.nan, defined=False, cause=cause)
+
+
+def _check_eps(eps_meas: float) -> None:
+    if not 0 < eps_meas < math.inf:
+        raise ValueError(f"eps_meas must be > 0 and finite, got {eps_meas:g}")
 
 
 def pressure_ratio(traj: PressureTrajectory, t: float,
                    eps_meas: float = DEFAULT_EPS_MEAS) -> RatioPoint:
     """Drop ratio at sample time t; undefined below the measurability floor."""
+    _check_eps(eps_meas)
     ts = traj.samples[:, 0]
     if not ts[0] <= t <= ts[-1]:
         raise ValueError(f"t = {t:.6g} outside trajectory span [{ts[0]:.6g}, {ts[-1]:.6g}]")
@@ -367,7 +382,7 @@ def fixation_time(spec: PipelineSpec, sampling_step: float) -> float:
 
 
 class EmpiricalFixation:
-    """Streaming empirical rule, fed one ratio point at a time.
+    """Streaming empirical rule, fed one sample's (tau, p) at a time.
 
     A defined point is fixed once a sample at or after t + window has
     arrived, provided at least one defined point lies in (t, t + window] and
@@ -379,24 +394,24 @@ class EmpiricalFixation:
 
     def __init__(self, window: float):
         self.window = window
-        self._open: deque[RatioPoint] = deque()
+        self._open: deque[tuple[float, float, float]] = deque()  # (t, p, |p - 1|)
 
-    def push(self, rp: RatioPoint) -> RatioPoint | None:
-        """Feed the next point (times strictly increasing); returns the point
-        fixed by this arrival, if any."""
-        open_ = self._open
-        if rp.defined:
-            if open_ and rp.t > open_[-1].t + self.window:
+    def push(self, t: float, p: float | None) -> tuple[float, float] | None:
+        """Feed the next sample (times strictly increasing) with its ratio,
+        None when undefined; returns the (t, p) fixed by this arrival, if any."""
+        open_, window = self._open, self.window
+        if p is not None:
+            dist = abs(p - 1.0)
+            if open_ and t > open_[-1][0] + window:
                 open_.pop()  # its window closes with no defined point
-            while (open_ and abs(open_[-1].p - 1.0) < abs(rp.p - 1.0)
-                   and rp.t <= open_[-1].t + self.window):
+            while open_ and open_[-1][2] < dist and t <= open_[-1][0] + window:
                 open_.pop()
-            open_.append(rp)
+            open_.append((t, p, dist))
         fixed = None
-        while open_ and open_[0].t + self.window <= rp.t:
+        while open_ and open_[0][0] + window <= t:
             point = open_.popleft()
             if fixed is None and open_:
-                fixed = point
+                fixed = point[:2]
         return fixed
 
 
@@ -408,15 +423,16 @@ def fixation_time_empirical(traj: PressureTrajectory,
     last defined sample when no point is fixed, and returns None when the
     ratio is never defined.
     """
+    _check_eps(eps_meas)
     window = float(np.median(np.diff(traj.samples[:, 0]))) if len(traj.samples) > 1 else 0.0
     rule = EmpiricalFixation(window)
     p1, p2 = traj.baseline
     last = None
     for t, p_in, p_out in traj.samples.tolist():
-        rp = ratio_from_deviations(p1 - p_in, p2 - p_out, t, eps_meas)
-        fixed = rule.push(rp)
+        p = defined_ratio(p1 - p_in, p2 - p_out, eps_meas)
+        fixed = rule.push(t, p)
         if fixed is not None:
-            return fixed.t
-        if rp.defined:
-            last = rp.t
+            return fixed[0]
+        if p is not None:
+            last = t
     return last

@@ -23,7 +23,9 @@ import numpy as np
 from .detection import (
     DEFAULT_EPS_MEAS,
     EmpiricalFixation,
+    RatioPoint,
     Verdict,
+    defined_ratio,
     estimate_from_ratio,
     fixation_time,
     ratio_from_deviations,
@@ -252,21 +254,37 @@ def _decisions(cfg: MonitorConfig, rows: np.ndarray, invalid: np.ndarray,
         p_in, p_out = rows[j, 1:].tolist()
         emit(j, EventKind.DEVIATION_DETECTED, dev_inlet=base_in - p_in,
              dev_outlet=base_out - p_out, t_onset=t_onset)
-        empirical = EmpiricalFixation(cfg.sampling_step)
-        for k in range(j, stop):
-            if invalid[k]:
-                continue
-            t, p_in, p_out = rows[k].tolist()
-            tau = t - t_onset
-            if grid and tau < t_fix_target:
-                continue
-            rp = ratio_from_deviations(base_in - p_in, base_out - p_out, tau, eps)
-            fixed = rp if grid else empirical.push(rp)
-            if fixed is not None:
-                emit(k, EventKind.FIXATION, tau=fixed.t, t_onset=t_onset,
-                     rule=cfg.fixation_rule)
-                return k, issue_verdict(k, fixed, t_onset)
-        return None
+        fixed = None
+        if grid:
+            for k in range(j, stop):
+                if invalid[k]:
+                    continue
+                t, p_in, p_out = rows[k].tolist()
+                tau = t - t_onset
+                if tau >= t_fix_target:
+                    fixed = ratio_from_deviations(base_in - p_in, base_out - p_out, tau, eps)
+                    break
+        else:
+            # read as Python floats in slices that double, so an episode
+            # converts at most twice the samples it scans
+            empirical, k, size = EmpiricalFixation(cfg.sampling_step), j, 16
+            while fixed is None and k < stop:
+                end = min(stop, k + size)
+                for k, (t, p_in, p_out), bad in zip(range(k, end), rows[k:end].tolist(),
+                                                    invalid[k:end].tolist()):
+                    if bad:
+                        continue
+                    point = empirical.push(t - t_onset, defined_ratio(
+                        base_in - p_in, base_out - p_out, eps))
+                    if point is not None:
+                        fixed = RatioPoint(t=point[0], p=point[1], defined=True)
+                        break
+                else:
+                    k, size = end, 2 * size
+        if fixed is None:
+            return None
+        emit(k, EventKind.FIXATION, tau=fixed.t, t_onset=t_onset, rule=cfg.fixation_rule)
+        return k, issue_verdict(k, fixed, t_onset)
 
     def rearm(k):
         """The sample after the one that ends the first quiet fixation

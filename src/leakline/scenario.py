@@ -65,14 +65,14 @@ class RunWindow:
             raise ValueError("t_end must be finite and >= t_start")
         if self.step == math.inf:
             raise ValueError("step must be finite")
+        if self.step < 1e-9:
+            raise ValueError(f"step must be >= 1e-9 s, the resolution times are rounded to, "
+                             f"got {self.step:g}")
 
     def times(self) -> list[float]:
-        out = []
-        t = self.t_start
-        while t <= self.t_end + 1e-9:
-            out.append(round(t, 9))
-            t += self.step
-        return out
+        """t_start + k * step for k = 0, 1, ... up to t_end, rounded to 1e-9 s."""
+        n = math.floor((self.t_end - self.t_start) / self.step + 1e-9)  # t_end up to round-off
+        return [round(self.t_start + k * self.step, 9) for k in range(n + 1)]
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,8 @@
 
 `reference_read_pressure_stream` parses one line at a time with `float`, and
 `reference_run_monitor` replays one sample at a time with no precomputed
-masks.  The tests require `leakline.monitor` to give the same rows, events
+masks, through its own copy of the empirical rule fed one RatioPoint at a
+time.  The tests require `leakline.monitor` to give the same rows, events
 and exceptions (type and text) as these.
 """
 
@@ -10,11 +11,12 @@ from __future__ import annotations
 
 import math
 import statistics
+from collections import deque
 from pathlib import Path
 from typing import Iterable, Iterator
 
 from leakline.detection import (
-    EmpiricalFixation,
+    RatioPoint,
     Verdict,
     estimate_from_ratio,
     fixation_time,
@@ -30,6 +32,37 @@ from leakline.monitor import (
     StreamFormatError,
     StreamOrderError,
 )
+
+
+class EmpiricalFixation:
+    """Streaming empirical rule, fed one ratio point at a time.
+
+    A defined point is fixed once a sample at or after t + window has
+    arrived, provided at least one defined point lies in (t, t + window] and
+    none of those exceeds its |p - 1|.  The earliest such point wins.
+    """
+
+    def __init__(self, window: float):
+        self.window = window
+        self._open: deque[RatioPoint] = deque()
+
+    def push(self, rp: RatioPoint) -> RatioPoint | None:
+        """Feed the next point (times strictly increasing); returns the point
+        fixed by this arrival, if any."""
+        open_ = self._open
+        if rp.defined:
+            if open_ and rp.t > open_[-1].t + self.window:
+                open_.pop()  # its window closes with no defined point
+            while (open_ and abs(open_[-1].p - 1.0) < abs(rp.p - 1.0)
+                   and rp.t <= open_[-1].t + self.window):
+                open_.pop()
+            open_.append(rp)
+        fixed = None
+        while open_ and open_[0].t + self.window <= rp.t:
+            point = open_.popleft()
+            if fixed is None and open_:
+                fixed = point
+        return fixed
 
 
 def reference_read_pressure_stream(path: str | Path) -> Iterator[tuple[float, float, float]]:

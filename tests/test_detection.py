@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from leakline.detection import (
     EmpiricalFixation,
     PressureTrajectory,
-    RatioPoint,
     UndefinedCause,
     Verdict,
     _series_log_ratio,
@@ -86,6 +85,20 @@ class TestPressureRatio:
         traj = PressureTrajectory(samples=((0.0, 56e4, 24e4),), baseline=BASE_A)
         rp = pressure_ratio(traj, 0.0)
         assert not rp.defined and rp.cause is UndefinedCause.NEGATIVE_DEVIATION
+
+    @pytest.mark.parametrize("bad", [0.0, -5.0, math.nan, math.inf])
+    @pytest.mark.parametrize("call", [
+        lambda traj, eps: pressure_ratio(traj, 0.0, eps),
+        lambda traj, eps: pressure_ratio(traj, 1e6, eps),  # out of span: eps is checked first
+        lambda traj, eps: fixation_time_empirical(traj, eps),
+        lambda traj, eps: estimate_position(PIPELINE_A, traj, 0.0, eps),
+    ])
+    def test_bad_floor_rejected(self, call, bad):
+        # both ends at baseline: a zero floor used to divide by the zero drop
+        traj = PressureTrajectory(samples=((0.0, *BASE_A), (60.0, 54e4, 24e4)),
+                                  baseline=BASE_A)
+        with pytest.raises(ValueError, match=r"eps_meas must be > 0 and finite, got "):
+            call(traj, bad)
 
     @pytest.mark.parametrize("dev_in,dev_out", [(math.nan, 300.0), (500.0, math.inf),
                                                 (-math.inf, 300.0)])
@@ -445,21 +458,21 @@ class TestTimingRules:
     @settings(max_examples=300, deadline=None)
     def test_streaming_rule_matches_definition(self, steps, ps, window):
         times = [float(sum(steps[:i + 1])) for i in range(len(steps))]
-        points = [RatioPoint(t=t, p=math.nan, defined=False) if p is None
-                  else RatioPoint(t=t, p=p, defined=True) for t, p in zip(times, ps)]
+        samples = list(zip(times, ps))  # (t, p), p None where undefined
+        defined = [(t, p) for t, p in samples if p is not None]
         # by definition: the earliest defined point whose window holds a
         # defined point and none with a larger |p - 1|, fixed on the first
         # arrival at or after t + window
         want = None
-        for c in (q for q in points if q.defined):
-            inside = [q for q in points if q.defined and c.t < q.t <= c.t + window]
-            closing = [q.t for q in points if q.t >= c.t + window]
-            if inside and closing and all(abs(q.p - 1) <= abs(c.p - 1) for q in inside):
-                want = (closing[0], c)
+        for t, p in defined:
+            inside = [q for s, q in defined if t < s <= t + window]
+            closing = [s for s, _ in samples if s >= t + window]
+            if inside and closing and all(abs(q - 1) <= abs(p - 1) for q in inside):
+                want = (closing[0], (t, p))
                 break
         rule = EmpiricalFixation(float(window))
-        got = next(((q.t, fixed) for q in points
-                    if (fixed := rule.push(q)) is not None), None)
+        got = next(((t, fixed) for t, p in samples
+                    if (fixed := rule.push(t, p)) is not None), None)
         assert got == want
 
     def test_empirical_rule_no_signal(self):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from leakline import monitor
 from leakline.isolation import ConnectorValve, ValveLayout
 from leakline.model import PIPELINE_A, PIPELINE_B
 from leakline.monitor import (
@@ -160,6 +161,41 @@ class TestMonitorMatchesReference:
         expected = replay(reference_run_monitor, cfg, rows.tolist())
         assert any("Verdict" in line for line in expected)
         assert replay(run_monitor, cfg, rows) == expected
+
+    def test_long_growing_episode(self, monkeypatch):
+        """10^5 samples with one episode whose |p - 1| grows for 5 * 10^4
+        samples: each scanned valid sample is pushed exactly once."""
+        n, j, grow = 100_000, 1000, 50_000
+        k = np.arange(n, dtype=float)
+        t = 60.0 * k - 3e5
+        growth = np.clip(k - j + 1, 0, grow)  # 1 .. grow over the episode, then held
+        drop_out = np.where(k >= j, 2000.0, 0.0)
+        p_in = 14e4 - (1.0 + 1e-5 * growth) * drop_out
+        p_out = 11e4 - drop_out
+        bad = [j + 7, j + 20_000, j + grow + 3]
+        p_in[bad] = math.nan
+        rows = np.column_stack([t, p_in, p_out])
+        pushed = []
+
+        class Counting(monitor.EmpiricalFixation):
+            def push(self, tau, p):
+                pushed.append(tau)
+                return super().push(tau, p)
+
+        monkeypatch.setattr(monitor, "EmpiricalFixation", Counting)
+        cfg = MonitorConfig(spec=PIPELINE_B, layout=LAYOUT_B, eps_meas=100.0,
+                            fixation_rule=FixationRule.EMPIRICAL)
+        got = replay(run_monitor, cfg, rows)
+        expected = replay(reference_run_monitor, cfg, rows.tolist())
+        decided = [line for line in expected if ",Fixation," in line or ",Verdict," in line]
+        assert len(decided) == 2
+        assert [line for line in got if line in decided] == decided
+        assert got == expected
+        # fixed at the sample after the last growing one, j + grow
+        fixed_at = j + grow
+        assert decided[0].startswith(f"{t[fixed_at]:.3f},Fixation,")
+        assert len(pushed) == fixed_at - j + 1 - 2  # two bad readings in between
+        assert pushed == sorted(set(pushed))
 
 
 # -- reader ----------------------------------------------------------------

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from leakline.model import SeriesConfig
-from leakline.scenario import ScenarioError, load_scenario
+from leakline.scenario import RunWindow, ScenarioError, load_scenario
 
 VALID = """
 [pipeline]
@@ -58,6 +58,24 @@ class TestLoading:
         text = VALID.replace("t_start = 60", "t_start = 0").replace("t_end = 600", "t_end = 0")
         sc = load_scenario(write(tmp_path, text))
         assert sc.run.times() == [0.0]
+
+    def test_times_counted_not_accumulated(self):
+        # a running sum of 0.1 s steps drifts to 2999.999999998 s by the end
+        times = RunWindow(0.0, 3000.0, 0.1).times()
+        assert len(times) == 30001 and times[-1] == 3000.0
+        assert times[3] == 0.3 and times[29999] == 2999.9
+
+    def test_step_below_rounding_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match=r"step must be >= 1e-9 s"):
+            RunWindow(0.0, 1e-8, 1e-10)
+        text = VALID.replace("t_start = 60", "t_start = 0").replace(
+            "t_end = 600", "t_end = 1e-8").replace("step = 60", "step = 1e-10")
+        with pytest.raises(ScenarioError) as info:
+            load_scenario(write(tmp_path, text))
+        assert str(info.value).startswith("[run]: step must be >= 1e-9 s")
+        times = RunWindow(0.0, 1e-8, 1e-9).times()
+        assert len(times) == 11 and times[-1] == 1e-8
+        assert all(a < b for a, b in zip(times, times[1:]))
 
     def test_interpolation_kept(self, tmp_path):
         text = VALID.replace("line = 0, 1.5e4, 3e4", "end = 3e4\nline = 0, 1.5e4, %(end)s")
