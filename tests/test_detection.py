@@ -101,7 +101,7 @@ class TestPressureRatio:
             call(traj, bad)
 
     @pytest.mark.parametrize("dev_in,dev_out", [(math.nan, 300.0), (500.0, math.inf),
-                                                (-math.inf, 300.0)])
+                                                (-math.inf, 300.0), (math.inf, 300.0)])
     def test_non_finite_deviation_undefined(self, dev_in, dev_out):
         rp = ratio_from_deviations(dev_in, dev_out, 120.0, 100.0)
         assert not rp.defined and rp.cause is UndefinedCause.NON_FINITE
