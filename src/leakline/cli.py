@@ -17,7 +17,7 @@ import numpy as np
 
 from . import detection, monitor as monitor_mod, oracle
 from .model import SeriesConfig, pressure_field
-from .scenario import Scenario, load_scenario
+from .scenario import RunWindow, Scenario, load_scenario
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -163,7 +163,9 @@ def cmd_verify(args) -> int:
     t_end = args.t_end if args.t_end is not None else (
         sc.run.t_end if sc.run is not None else 900.0)
     step = args.step if args.step is not None else max(t_end / 18.0, 1.0)
-    times = [round(t, 9) for t in np.arange(step, t_end + step / 2, step)]
+    if step > t_end:
+        raise ValueError(f"--step {step:g} exceeds --t-end {t_end:g}: no snapshot time fits")
+    times = RunWindow(step, t_end, step).times()
     grid = oracle.FdGrid(nx=args.nx, t_end=t_end)
     report = oracle.compare_with_series(sc.spec, leak, grid, cfg,
                                         output_times=times, tolerance=args.tol)

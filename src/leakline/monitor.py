@@ -163,11 +163,18 @@ def run_monitor(cfg: MonitorConfig,
     left out of the baseline, the episode clock and the fixation rule.
 
     `stream` is an (n, 3) array of (t, p_inlet, p_outlet) rows or any
-    iterable of such triples.  The samples up to the first out-of-order
-    timestamp are replayed before StreamOrderError is raised.
+    iterable of such triples of numbers (else ValueError).  The samples up
+    to the first out-of-order timestamp are replayed before StreamOrderError
+    is raised.
     """
-    rows = np.asarray(stream if isinstance(stream, np.ndarray) else list(stream),
-                      dtype=np.float64)
+    try:  # no dtype=float here: it would read the string '14e4' as a number
+        rows = stream if isinstance(stream, np.ndarray) else np.asarray(list(stream))
+    except ValueError:  # ragged rows
+        rows = None
+    if rows is None or rows.dtype.kind not in "iuf" or (rows.shape[1:] != (3,)
+                                                        and rows.shape != (0,)):
+        raise ValueError("stream must be (t, p_inlet, p_outlet) triples of numbers")
+    rows = np.asarray(rows, dtype=np.float64)
     if rows.size == 0:
         rows = rows.reshape(0, 3)
     ts, p_ins, p_outs = rows.T
@@ -202,13 +209,8 @@ def run_monitor(cfg: MonitorConfig,
 def _decisions(cfg: MonitorConfig, rows: np.ndarray, invalid: np.ndarray,
                first: list[int]) -> list[tuple[int, MonitorEvent]]:
     """The Baseline event from the valid samples `first`, then the events of
-    each episode, keyed by sample index.
-
-    An episode opens at a deviating sample while the monitor is armed and
-    is decided from its own samples.  A non-Accident verdict re-arms the
-    monitor once the line has been quiet for one fixation interval; after
-    an Accident nothing more is decided.
-    """
+    each episode, keyed by sample index.  An episode opens at a deviating
+    sample while the monitor is armed and is decided from its own samples."""
     ts = rows[:, 0]
     stop = len(rows)
     b = first[-1]
@@ -228,7 +230,10 @@ def _decisions(cfg: MonitorConfig, rows: np.ndarray, invalid: np.ndarray,
     def emit(i, kind, **payload):
         events.append((i, MonitorEvent(t=float(ts[i]), kind=kind, payload=payload)))
 
-    def issue_verdict(k, rp, t_onset):
+    def decide(k, rp, t_onset):
+        """Emit the Fixation at sample k, its Verdict and the plan (or the
+        no-layout DataQuality); returns the verdict."""
+        emit(k, EventKind.FIXATION, tau=rp.t, t_onset=t_onset, rule=cfg.fixation_rule)
         est = estimate_from_ratio(cfg.spec, rp)
         payload = {"verdict": est.verdict, "t_onset": t_onset, "tau": rp.t, "p": rp.p}
         if est.theta is not None:
@@ -249,71 +254,56 @@ def _decisions(cfg: MonitorConfig, rows: np.ndarray, invalid: np.ndarray,
         return est.verdict
 
     def episode(j, t_onset):
-        """Decide the episode opened at sample j: the fixation sample and its
-        verdict, or None if the stream ends first."""
+        """Walk the episode opened at sample j: fix a ratio under the
+        configured rule and decide it, then wait for one quiet fixation
+        interval (a deviation restarts its clock).  Returns the sample the
+        monitor re-arms at, or None after an Accident or at the stream's end."""
         p_in, p_out = rows[j, 1:].tolist()
         emit(j, EventKind.DEVIATION_DETECTED, dev_inlet=base_in - p_in,
              dev_outlet=base_out - p_out, t_onset=t_onset)
-        fixed = None
-        if grid:
-            for k in range(j, stop):
-                if invalid[k]:
+        empirical = None if grid else EmpiricalFixation(cfg.sampling_step)
+        fixed = quiet_since = None
+        # read as Python floats in slices that double, so an episode
+        # converts at most twice the samples it walks
+        start, size = j, 16
+        while start < stop:
+            end = min(stop, start + size)
+            for k, (t, p_in, p_out), bad, dev in zip(
+                    range(start, end), rows[start:end].tolist(),
+                    invalid[start:end].tolist(), deviating[start:end].tolist()):
+                if bad:
                     continue
-                t, p_in, p_out = rows[k].tolist()
-                tau = t - t_onset
-                if tau >= t_fix_target:
-                    fixed = ratio_from_deviations(base_in - p_in, base_out - p_out, tau, eps)
-                    break
-        else:
-            # read as Python floats in slices that double, so an episode
-            # converts at most twice the samples it scans
-            empirical, k, size = EmpiricalFixation(cfg.sampling_step), j, 16
-            while fixed is None and k < stop:
-                end = min(stop, k + size)
-                for k, (t, p_in, p_out), bad in zip(range(k, end), rows[k:end].tolist(),
-                                                    invalid[k:end].tolist()):
-                    if bad:
+                if fixed is None:
+                    tau = t - t_onset
+                    if not grid:
+                        if point := empirical.push(tau, defined_ratio(
+                                base_in - p_in, base_out - p_out, eps)):
+                            fixed = RatioPoint(t=point[0], p=point[1], defined=True)
+                    elif tau >= t_fix_target:
+                        fixed = ratio_from_deviations(base_in - p_in, base_out - p_out, tau, eps)
+                    if fixed is None:
                         continue
-                    point = empirical.push(t - t_onset, defined_ratio(
-                        base_in - p_in, base_out - p_out, eps))
-                    if point is not None:
-                        fixed = RatioPoint(t=point[0], p=point[1], defined=True)
-                        break
-                else:
-                    k, size = end, 2 * size
-        if fixed is None:
-            return None
-        emit(k, EventKind.FIXATION, tau=fixed.t, t_onset=t_onset, rule=cfg.fixation_rule)
-        return k, issue_verdict(k, fixed, t_onset)
-
-    def rearm(k):
-        """The sample after the one that ends the first quiet fixation
-        interval since the verdict at k; a deviation restarts the clock."""
-        quiet_since = None if deviating[k] else float(ts[k])
-        for m in range(k + 1, stop):
-            if invalid[m]:
-                continue
-            t = float(ts[m])
-            if deviating[m]:
-                quiet_since = None
-            elif quiet_since is None:
-                quiet_since = t
-            elif t - quiet_since >= t_fix_target:  # > 0, so never at a run's first sample
-                return m + 1
-        return stop
+                    if decide(k, fixed, t_onset) is Verdict.ACCIDENT:
+                        return None
+                # decided: wait for one quiet fixation interval from this sample on
+                if dev:
+                    quiet_since = None
+                elif quiet_since is None:
+                    quiet_since = t
+                elif t - quiet_since >= t_fix_target:  # > 0, so never at a run's first sample
+                    return k + 1
+            start, size = end, 2 * size
+        return None
 
     events.append((b, MonitorEvent(float(ts[b]), EventKind.BASELINE, {
         "p_inlet": base_in, "p_outlet": base_out, "n_samples": BASELINE_SAMPLES})))
     armed = b + 1
-    while (n := int(np.searchsorted(starts, armed))) < len(starts):
+    while armed is not None and (n := int(np.searchsorted(starts, armed))) < len(starts):
         j = int(starts[n])
         onset = j - 1  # the valid sample before j: the baseline one at the earliest
         while invalid[onset]:
             onset -= 1
-        decided = episode(j, float(ts[onset]))
-        if decided is None or decided[1] is Verdict.ACCIDENT:
-            break
-        armed = rearm(decided[0])
+        armed = episode(j, float(ts[onset]))
     return events
 
 

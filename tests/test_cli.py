@@ -357,6 +357,19 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", str(path), "--nx", "300", "--t-end", "100")
         assert code == EXIT_OK
 
+    def test_snapshots_stop_at_t_end(self, capsys, scenario_path):
+        # a step that does not divide --t-end: the last snapshot is at 60 s, not 120 s
+        code, out, err = run(capsys, "verify", scenario_path("pipeline_b_mid"),
+                             "--nx", "300", "--t-end", "100", "--step", "60")
+        assert code == EXIT_OK and err == ""
+        assert "PASS" in out and "at t = 60 s" in out
+
+    def test_step_longer_than_t_end_exit_one(self, capsys, scenario_path):
+        code, out, err = run(capsys, "verify", scenario_path("pipeline_b_mid"),
+                             "--nx", "300", "--t-end", "30", "--step", "50")
+        assert code == EXIT_VALIDATION and out == ""
+        assert err == "error: --step 50 exceeds --t-end 30: no snapshot time fits\n"
+
 
 class TestMonitorCommand:
     def test_bundled_replay_accident(self, capsys, scenario_path, replay_path, tmp_path):

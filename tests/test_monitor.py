@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import re
 
+import numpy as np
 import pytest
 
 from leakline.cli import main
@@ -224,6 +225,23 @@ class TestStreamHygiene:
         rows = quiet_prefix() + [(60.0, 13.37e4, 10.97e4), (60.0, 13.0e4, 10.8e4)]
         with pytest.raises(StreamOrderError):
             run_monitor(config(), rows)
+
+    @pytest.mark.parametrize("rows", [
+        [(0.0, 14e4), (60.0, 14e4)],                        # two fields
+        [(0.0, 14e4, 11e4, 1.0), (60.0, 14e4, 11e4, 1.0)],  # four fields
+        [0.0, 14e4, 11e4],                                  # one flat triple
+        [(0.0, "14e4", 11e4), (60.0, 14e4, 11e4)],          # a string, not a number
+        [(0.0, 14e4, 11e4), (60.0, 14e4)],                  # ragged rows
+        np.array([0.0, 14e4, 11e4]),                        # a flat array
+    ])
+    def test_library_stream_must_be_number_triples(self, rows):
+        with pytest.raises(ValueError) as info:
+            run_monitor(config(), rows)
+        assert str(info.value) == "stream must be (t, p_inlet, p_outlet) triples of numbers"
+
+    @pytest.mark.parametrize("rows", [[], (), np.empty((0, 3))])
+    def test_empty_stream_no_events(self, rows):
+        assert run_monitor(config(), rows) == []
 
     def test_header_required(self, tmp_path):
         path = tmp_path / "bad.csv"

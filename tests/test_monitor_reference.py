@@ -197,6 +197,43 @@ class TestMonitorMatchesReference:
         assert len(pushed) == fixed_at - j + 1 - 2  # two bad readings in between
         assert pushed == sorted(set(pushed))
 
+    @pytest.mark.parametrize("rule", list(FixationRule))
+    @pytest.mark.parametrize("leak_offset", [0, -1])
+    def test_long_wait_for_quiet(self, rule, leak_offset):
+        """10^5 samples: a Technological step held deviating for 5 * 10^4
+        samples, a quiet stretch, then a leak from the reference's re-arm
+        sample r (it opens an episode there) or from r - 1 (it restarts the
+        quiet clock, so nothing more is decided)."""
+        n, j, held = 100_000, 1000, 50_000
+        k = np.arange(n, dtype=float)
+        t = 60.0 * k - 3e5
+        p_in, p_out = np.full(n, 14e4), np.full(n, 11e4)
+        p_in[j:j + held] -= 50.0 * 400.0  # ratio 50: Technological from tau = 60 s on
+        p_out[j:j + held] -= 400.0
+        p_in[j + 20_000] = 14e4 + 99.0  # one quiet sample: the clock starts, then restarts
+        p_out[j + 20_000] = 11e4 - 99.0
+        quiet = j + held
+        p_in[[j + 3, j + 30_000, quiet + 2]] = math.nan
+        # quiet from t[quiet]; quiet + 2 (120 s on) is a bad reading, so quiet + 3 ends it
+        rearm = quiet + 4
+        leak = rearm + leak_offset
+        p_in[leak:] -= 5.0 * 2100.0
+        p_out[leak:] -= 2100.0
+        rows = np.column_stack([t, p_in, p_out])
+        cfg = MonitorConfig(spec=PIPELINE_B, layout=LAYOUT_B, eps_meas=100.0,
+                            fixation_rule=rule)
+        expected = replay(reference_run_monitor, cfg, rows.tolist())
+        verdicts = [line.split("verdict=")[1].split(";")[0]
+                    for line in expected if ",Verdict," in line]
+        opened = [line.split(",")[0] for line in expected if ",DeviationDetected," in line]
+        if leak_offset == 0:
+            assert verdicts == ["Technological", "Accident"]
+            assert opened == [f"{t[j]:.3f}", f"{t[rearm]:.3f}"]
+        else:
+            assert verdicts == ["Technological"]
+            assert opened == [f"{t[j]:.3f}"]
+        assert replay(run_monitor, cfg, rows) == expected
+
 
 # -- reader ----------------------------------------------------------------
 
