@@ -7,8 +7,9 @@ Runs `perfbench/run.py` twice for each workload BENCHMARK.json names, at
 the fixed seed SEED and for the benchmark's own run length: once with
 `--trace 0` and once with `--trace 1`.  Then runs the Tier-1 test suite
 once.  Writes each workload's result (correctness counts and end-to-end
-metrics), each workload's per-layer metrics from the traced run under
-"layers", the suite's wall time and its passed, failed and error counts,
+metrics, and minflt_per_op: the minor page faults of the untraced run per
+attempted operation), each workload's per-layer metrics from the traced run
+under "layers", the suite's wall time and its passed, failed and error counts,
 the two tracked sizes of src/leakline (its line count and the length of
 leakline.__all__), with the git commit and the Python and NumPy versions,
 to BENCH_<N>.json at the root of the checkout.  Takes about a minute per
@@ -23,6 +24,7 @@ import json
 import os
 import platform
 import re
+import resource
 import subprocess
 import sys
 import time
@@ -41,11 +43,21 @@ def parse_result(stdout: str) -> dict:
 
 
 def run_workload(name: str, seconds: float, trace: int) -> dict:
+    """One perfbench run's result.  An untraced run also gets minflt_per_op:
+    the ru_minflt that RUSAGE_CHILDREN gains over the perfbench/run.py
+    subprocess, divided by its attempted count.  That count includes the
+    faults of the set-up probe's interpreters, which perfbench starts and
+    waits for, and those of the perfbench interpreter's own start-up."""
+    before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", name,
                            "--seed", str(SEED), "--seconds", str(seconds),
                            "--trace", str(trace)],
                           cwd=ROOT, capture_output=True, text=True, check=True)
-    return parse_result(proc.stdout)
+    result = parse_result(proc.stdout)
+    if not trace:
+        faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
+        result["minflt_per_op"] = faults / max(result["attempted"], 1)
+    return result
 
 
 def run_workloads(names: list[str], seconds: float) -> dict:

@@ -6,7 +6,7 @@ from __future__ import annotations
 import argparse
 from pathlib import Path
 
-from leakline.oracle import FdGrid, compare_with_series
+from leakline.oracle import compare_with_series
 from leakline.scenario import load_scenario
 
 HERE = Path(__file__).resolve().parent.parent
@@ -27,8 +27,7 @@ def main() -> None:
     print(f"{'nx':>6}  {'dx_m':>8}  {'max_abs_Pa':>11}  {'max_rel':>10}")
     prev = None
     for nx in args.levels:
-        grid = FdGrid(nx, args.t_end)
-        rep = compare_with_series(sc.spec, leak, grid, sc.series, output_times=times)
+        rep = compare_with_series(sc.spec, leak, nx, sc.series, output_times=times)
         ratio = "" if prev is None else f"  (x{prev / rep.max_abs:.2f} down)"
         print(f"{nx:6d}  {sc.spec.length / nx:8.2f}  {rep.max_abs:11.4f}  "
               f"{rep.max_rel:10.3e}{ratio}")

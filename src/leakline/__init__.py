@@ -50,7 +50,7 @@ from .monitor import (
     read_pressure_stream,
     run_monitor,
 )
-from .oracle import FdGrid, FdField, OracleReport, compare_with_series, fd_solve
+from .oracle import FdField, OracleReport, compare_with_series, fd_solve
 from .scenario import RunWindow, Scenario, ScenarioError, load_scenario
 
 __version__ = "0.1.0"
@@ -64,7 +64,7 @@ __all__ = [
     "SeriesPrecisionWarning", "inlet_pressure",
     "outlet_pressure", "pressure_field", "pressure_profile", "steady_pressure",
     "transient_pressure", "EventKind", "FixationRule", "MonitorConfig", "MonitorEvent",
-    "append_event_log", "read_pressure_stream", "run_monitor", "FdGrid", "FdField",
+    "append_event_log", "read_pressure_stream", "run_monitor", "FdField",
     "OracleReport", "compare_with_series", "fd_solve", "RunWindow", "Scenario",
     "ScenarioError", "load_scenario",
 ]

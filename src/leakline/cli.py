@@ -162,12 +162,14 @@ def cmd_verify(args) -> int:
     cfg = _series_override(args, sc.series)
     t_end = args.t_end if args.t_end is not None else (
         sc.run.t_end if sc.run is not None else 900.0)
-    step = args.step if args.step is not None else max(t_end / 18.0, 1.0)
+    step = args.step if args.step is not None else min(max(t_end / 18.0, 1.0), t_end)
     if step > t_end:
         raise ValueError(f"--step {step:g} exceeds --t-end {t_end:g}: no snapshot time fits")
+    if args.step is not None and step < 1e-9:  # RunWindow's floor, named by its flag
+        raise ValueError(f"--step must be >= 1e-9 s, the resolution times are rounded to, "
+                         f"got {step:g}")
     times = RunWindow(step, t_end, step).times()
-    grid = oracle.FdGrid(nx=args.nx, t_end=t_end)
-    report = oracle.compare_with_series(sc.spec, leak, grid, cfg,
+    report = oracle.compare_with_series(sc.spec, leak, args.nx, cfg,
                                         output_times=times, tolerance=args.tol)
     print(report.summary())
     if not report.passed:

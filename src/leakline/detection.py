@@ -112,6 +112,23 @@ class ThetaValue(NamedTuple):
     in_range: bool
 
 
+def _number_triples(samples, what: str, copy: bool = False) -> np.ndarray:
+    """samples as a float64 (n, 3) array, (0, 3) when empty, a new one if copy.
+
+    Anything but (t, p_inlet, p_outlet) triples of numbers is a ValueError
+    that names `what`.
+    """
+    try:  # no dtype=float here: it would read the string '54e4' as a number
+        rows = np.array(samples) if copy else np.asarray(samples)
+    except ValueError:  # ragged rows
+        rows = None
+    if rows is None or rows.dtype.kind not in "iuf" or (rows.shape[1:] != (3,)
+                                                        and rows.shape != (0,)):
+        raise ValueError(f"{what} must be (t, p_inlet, p_outlet) triples of numbers")
+    rows = np.asarray(rows, dtype=np.float64)
+    return rows.reshape(0, 3) if rows.size == 0 else rows
+
+
 @dataclass(frozen=True, eq=False)
 class PressureTrajectory:
     """Sampled end-pressure histories with their pre-event baseline."""
@@ -125,13 +142,7 @@ class PressureTrajectory:
             raise ValueError("baseline must satisfy P1 > P2 > 0")
         if len(self.samples) == 0:
             raise ValueError("need at least one sample")
-        try:  # no dtype=float here: it would read the string '54e4' as a number
-            rows = np.array(self.samples)
-        except ValueError:  # ragged rows
-            rows = None
-        if rows is None or rows.dtype.kind not in "iuf" or rows.shape[1:] != (3,):
-            raise ValueError("samples must be (t, p_inlet, p_outlet) triples of numbers")
-        rows = rows.astype(np.float64, copy=False)
+        rows = _number_triples(self.samples, "samples", copy=True)
         rows.flags.writeable = False
         object.__setattr__(self, "samples", rows)
         if not np.isfinite(rows).all():

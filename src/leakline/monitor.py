@@ -25,6 +25,7 @@ from .detection import (
     EmpiricalFixation,
     RatioPoint,
     Verdict,
+    _number_triples,
     defined_ratio,
     estimate_from_ratio,
     fixation_time,
@@ -167,16 +168,7 @@ def run_monitor(cfg: MonitorConfig,
     to the first out-of-order timestamp are replayed before StreamOrderError
     is raised.
     """
-    try:  # no dtype=float here: it would read the string '14e4' as a number
-        rows = stream if isinstance(stream, np.ndarray) else np.asarray(list(stream))
-    except ValueError:  # ragged rows
-        rows = None
-    if rows is None or rows.dtype.kind not in "iuf" or (rows.shape[1:] != (3,)
-                                                        and rows.shape != (0,)):
-        raise ValueError("stream must be (t, p_inlet, p_outlet) triples of numbers")
-    rows = np.asarray(rows, dtype=np.float64)
-    if rows.size == 0:
-        rows = rows.reshape(0, 3)
+    rows = _number_triples(stream if isinstance(stream, np.ndarray) else list(stream), "stream")
     ts, p_ins, p_outs = rows.T
     with np.errstate(invalid="ignore", over="ignore"):
         disorder = np.flatnonzero(~((ts[:-1] < ts[1:]) & (ts[1:] < math.inf)))

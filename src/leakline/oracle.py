@@ -15,8 +15,9 @@ DCT-II modes v_k[i] = cos(pi k (i + 1/2) / nx) with eigenvalues
     phi(lambda, t) = expm1(lambda t) / lambda   (t for the constant mode).
 
 The sum over modes is one FFT of length 2 nx per output time: there is no time
-step, no stability limit and no nx-by-nx matrix.  The only error left is the
-spatial one, first order in dx through the sink's place in its cell.
+step, no time horizon, no stability limit and no nx-by-nx matrix, and every
+t >= 0 is exact in time.  The only error left is the spatial one, first order
+in dx through the sink's place in its cell.
 Pressures are the deviation added to model.steady_pressure at the cell centres.
 """
 
@@ -36,47 +37,26 @@ from .model import (
 
 
 @dataclass(frozen=True)
-class FdGrid:
-    """nx cells over the line; output times may run up to t_end."""
-
-    nx: int
-    t_end: float
-
-    def __post_init__(self):
-        if not self.nx >= 3:
-            raise ValueError("nx must be >= 3")
-        if not self.t_end > 0:
-            raise ValueError("t_end must be > 0")
-        if self.t_end == np.inf:
-            raise ValueError("t_end must be finite")
-
-
-@dataclass(frozen=True)
 class FdField:
     """Pressure snapshots: pressures[i] is the profile at times[i]."""
 
     times: tuple[float, ...]
     x: np.ndarray                 # cell centres
     pressures: np.ndarray         # shape (len(times), nx)
-    spec: PipelineSpec
-
-    def deviations(self) -> np.ndarray:
-        return self.pressures - steady_pressure(self.spec, self.x)
 
 
-def fd_solve(spec: PipelineSpec, scenario: LeakScenario, grid: FdGrid,
+def fd_solve(spec: PipelineSpec, scenario: LeakScenario, nx: int,
              output_times: list[float]) -> FdField:
-    """Evaluate the semi-discrete deviation field at the requested times."""
+    """Evaluate the semi-discrete field on nx cells at the requested times."""
+    if not nx >= 3:
+        raise ValueError("nx must be >= 3")
     scenario.check_against(spec)
     times = sorted(float(t) for t in output_times)
     if not all(0 <= t < np.inf for t in times):
         raise ValueError("t must be >= 0 and finite")
-    if times and times[-1] > grid.t_end + 1e-9:
-        raise ValueError("output times exceed the grid horizon")
     include_zero = bool(times) and times[0] <= 1e-12
     out_times = ([0.0] if include_zero else []) + [t for t in times if t > 1e-12]
 
-    nx = grid.nx
     dx = spec.length / nx
     x = (np.arange(nx) + 0.5) * dx
     sink_cell = min(int(scenario.ell2 / dx), nx - 1)
@@ -94,8 +74,7 @@ def fd_solve(spec: PipelineSpec, scenario: LeakScenario, grid: FdGrid,
     # sum_k coeff_k cos(pi k (i + 1/2) / nx) is the real part of a 2 nx FFT
     u = np.fft.fft(coeff * np.exp(-0.5j * np.pi * k / nx), n=2 * nx).real[:, :nx]
 
-    return FdField(times=tuple(out_times), x=x, pressures=steady_pressure(spec, x) + u,
-                   spec=spec)
+    return FdField(times=tuple(out_times), x=x, pressures=steady_pressure(spec, x) + u)
 
 
 @dataclass(frozen=True)
@@ -125,14 +104,14 @@ class OracleReport:
         return "\n".join(lines)
 
 
-def compare_with_series(spec: PipelineSpec, scenario: LeakScenario, grid: FdGrid,
+def compare_with_series(spec: PipelineSpec, scenario: LeakScenario, nx: int,
                         cfg: SeriesConfig, output_times: list[float],
                         tolerance: float = 1e-3) -> OracleReport:
     """Compare the series evaluation against the FD oracle on the same grid.
 
     Relative error is pointwise |series - fd| / |series pressure|.
     """
-    field = fd_solve(spec, scenario, grid, output_times)
+    field = fd_solve(spec, scenario, nx, output_times)
     snapshots = [(i, t) for i, t in enumerate(field.times) if t != 0.0]
     if not snapshots:
         raise ValueError("no positive output times to compare")

@@ -44,7 +44,7 @@ from leakline.model import (
     transient_pressure,
 )
 from leakline.monitor import FixationRule, MonitorConfig, format_event, run_monitor
-from leakline.oracle import FdGrid, compare_with_series
+from leakline.oracle import compare_with_series
 
 from reference_tables import (
     TABLE_A,
@@ -154,8 +154,7 @@ def test_criterion_6_oracle_equivalence():
     times = [50.0 * k for k in range(1, 19)]  # 50..900
     for ell2 in (0.5e4, 5e4, 9.5e4):
         leak = LeakScenario(ell2=ell2, g_leak=PIPELINE_A.g0)
-        grid = FdGrid(2000, 900.0)
-        rep = compare_with_series(PIPELINE_A, leak, grid, CFG, output_times=times,
+        rep = compare_with_series(PIPELINE_A, leak, 2000, CFG, output_times=times,
                                   tolerance=ORACLE_RTOL)
         if not rep.passed:
             failures.append(f"ell2={ell2:g}: max rel {rep.max_rel:.2e} > {ORACLE_RTOL}")
@@ -163,7 +162,7 @@ def test_criterion_6_oracle_equivalence():
     errs = []
     leak = LeakScenario(ell2=0.5e4, g_leak=PIPELINE_A.g0)
     for nx in (500, 1000, 2000):
-        rep = compare_with_series(PIPELINE_A, leak, FdGrid(nx, 900.0),
+        rep = compare_with_series(PIPELINE_A, leak, nx,
                                   CFG, output_times=times)
         errs.append(rep.max_abs)
     if not errs[0] > errs[1] > errs[2]:

@@ -370,6 +370,38 @@ class TestVerify:
         assert code == EXIT_VALIDATION and out == ""
         assert err == "error: --step 50 exceeds --t-end 30: no snapshot time fits\n"
 
+    def test_default_step_fits_short_t_end(self, capsys, scenario_path):
+        # without --step the step is at most --t-end: one snapshot at 0.5 s
+        code, out, err = run(capsys, "verify", scenario_path("pipeline_b_mid"),
+                             "--nx", "300", "--t-end", "0.5")
+        assert code == EXIT_OK and err == ""
+        assert "PASS" in out and "at t = 0.5 s" in out
+
+    def test_step_under_time_resolution_names_flag(self, capsys, scenario_path):
+        code, out, err = run(capsys, "verify", scenario_path("pipeline_b_mid"),
+                             "--nx", "300", "--t-end", "1", "--step", "1e-10")
+        assert code == EXIT_VALIDATION and out == ""
+        assert err == ("error: --step must be >= 1e-9 s, the resolution times are "
+                       "rounded to, got 1e-10\n")
+
+    def test_matches_golden(self, capsys, scenario_path):
+        # regenerate after a deliberate change with
+        #   for flags in "--nx 500 --t-end 900 --step 50 --tol 0.004" \
+        #                "--nx 1000 --t-end 600 --step 100"; do
+        #     for f in pipeline_{a,b}_{start,mid,end}; do
+        #       echo "\$ leakline verify scenarios/$f.cfg $flags"
+        #       leakline verify scenarios/$f.cfg $flags; echo "exit $?"
+        #     done
+        #   done > tests/golden/verify.txt
+        transcript = []
+        for flags in (["--nx", "500", "--t-end", "900", "--step", "50", "--tol", "0.004"],
+                      ["--nx", "1000", "--t-end", "600", "--step", "100"]):
+            for name in BUNDLED:
+                code, out, _ = run(capsys, "verify", scenario_path(name), *flags)
+                transcript.append(f"$ leakline verify scenarios/{name}.cfg {' '.join(flags)}\n"
+                                  f"{out}exit {code}\n")
+        assert "".join(transcript).encode("ascii") == (GOLDEN / "verify.txt").read_bytes()
+
 
 class TestMonitorCommand:
     def test_bundled_replay_accident(self, capsys, scenario_path, replay_path, tmp_path):

@@ -37,9 +37,10 @@ from leakline.model import (
     SeriesPrecisionWarning,
     early_time_floor,
     pressure_profile,
+    steady_pressure,
 )
 from leakline.monitor import read_pressure_stream
-from leakline.oracle import FdGrid, fd_solve
+from leakline.oracle import fd_solve
 from leakline.scenario import load_scenario
 
 from reference_tables import (
@@ -506,7 +507,8 @@ class TestForeignData:
     @pytest.mark.parametrize("theta", [0.25, 0.75])
     def test_fd_oracle_end_cells(self, spec, nx, t_fix, theta):
         leak = LeakScenario(ell2=theta * spec.length, g_leak=spec.g0)
-        dev = fd_solve(spec, leak, FdGrid(nx, t_fix), [t_fix]).deviations()[-1]
+        field = fd_solve(spec, leak, nx, [t_fix])
+        dev = field.pressures[-1] - steady_pressure(spec, field.x)
         traj = PressureTrajectory(
             samples=((t_fix, spec.p_inlet_0 + dev[0], spec.p_outlet_0 + dev[-1]),),
             baseline=(spec.p_inlet_0, spec.p_outlet_0))

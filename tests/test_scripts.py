@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -86,6 +87,26 @@ def test_bench_reads_the_perfbench_result_line():
                                 "metrics": metrics}},
         "layers": {"sweep": layers}}
     assert runs == [("sweep", 20, 0), ("sweep", 20, 1)]
+
+
+@pytest.mark.parametrize("trace", [0, 1])
+def test_bench_counts_minor_faults_per_operation(monkeypatch, trace):
+    module = load_bench()
+    faults = iter([1000, 1600])
+    monkeypatch.setattr(module.resource, "getrusage",
+                        lambda who: types.SimpleNamespace(ru_minflt=next(faults)))
+    result_line = json.dumps({"correct": True, "attempted": 200, "failed": 0, "metrics": {}})
+    calls = []
+
+    def fake_run(argv, **kwargs):
+        calls.append(argv)
+        return types.SimpleNamespace(stdout=result_line + "\n")
+
+    monkeypatch.setattr(module.subprocess, "run", fake_run)
+    result = module.run_workload("oracle-verify", 20, trace)
+    assert calls[0][-2:] == ["--trace", str(trace)]
+    # (1600 - 1000) faults over 200 operations; a traced run carries no count
+    assert result.get("minflt_per_op") == (None if trace else 3.0)
 
 
 @pytest.mark.parametrize("summary,counts", [
